@@ -11,14 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import Modulus, as_modulus, ellint_F, ellint_K, jacobi
+from .elliptic import Modulus, as_modulus, ellint_K, jacobi
 from .errors import (
+    InvalidParameter,
     InvalidRotation,
     NoIntersection,
     NotInDelta,
     NotInUPlus,
     OutOfAnnulus,
 )
+from .maps import _coefficients, _winding, rho_from_spectrum
 
 
 @dataclass(frozen=True)
@@ -106,11 +108,11 @@ def billiard_map(f, s: PhasePoint) -> PhasePoint:
 
 
 def rotation_confocal(e, f=None) -> float:
-    """Closed-form rotation number F(omega, e)/(2 K(e)) on Delta."""
+    """Closed-form rotation number on Delta: rho_from_spectrum on the
+    confocal spectrum (e^2(1-f^2), e^2(1-e^2), f^2(1-e^2))."""
     p = as_ecc_pair(e, f)
-    ev, fv = p.e.e, p.f.e
-    omega = math.asin(math.sqrt((ev * ev - fv * fv) / (ev * ev * (1.0 - fv * fv))))
-    return ellint_F(omega, p.e) / (2.0 * ellint_K(p.e))
+    e2, f2 = p.e.e ** 2, p.f.e ** 2
+    return rho_from_spectrum((e2 * (1.0 - f2), e2 * (1.0 - e2), f2 * (1.0 - e2)), (0.0, 1.0))
 
 
 def porism_f(e, ell: float) -> Modulus:
@@ -165,37 +167,18 @@ def cover_angle(theta: float, e, f=None) -> float:
 def rotation_estimate(e, f, steps: int = 10000):
     """Winding average of the billiard on Lambda(e) over the given steps.
 
-    Broadcasts over numpy arrays of (e, f) pairs, which keeps grid sweeps
-    at O(steps) array operations instead of O(steps * cells).
+    Runs in the confocal chart, where E(f) is the unit circle, the caustic
+    E(e) is S_e^f and boundary angle phi sits at (sin phi, -cos phi); the
+    orbit starts at phi = 0. Broadcasts over numpy arrays of (e, f) pairs,
+    which keeps grid sweeps at O(steps) array operations.
     """
     e = np.asarray(e, dtype=float)
     f = np.asarray(f, dtype=float)
-    if np.any(f >= e) or np.any(f <= 0.0) or np.any(e >= 1.0):
+    if not np.all((0.0 < f) & (f < e) & (e < 1.0)):
         raise NotInDelta("rotation estimate needs 0 < f < e < 1 elementwise")
+    steps = int(steps)
+    if steps < 1:
+        raise InvalidParameter(f"need at least one step, got {steps!r}")
     e, f = np.broadcast_arrays(e, f)
-    bf = np.sqrt(1.0 - f * f)
-    Emat = np.stack([f * f, f * f / (1.0 - f * f)])
-    phi = np.zeros_like(e)
-    r = np.sqrt(1.0 / (e * e) - np.cos(phi) ** 2)
-    total = np.zeros_like(e)
-    two_pi = 2.0 * math.pi
-    for _ in range(int(steps)):
-        vx, vy = -np.sin(phi) / f, bf * np.cos(phi) / f
-        speed = np.hypot(vx, vy)
-        tx, ty = vx / speed, vy / speed
-        a = r / speed
-        b = np.sqrt(1.0 - a * a)
-        dx = a * tx - b * ty
-        dy = a * ty + b * tx
-        z0x, z0y = np.cos(phi) / f, bf * np.sin(phi) / f
-        qa = Emat[0] * dx * dx + Emat[1] * dy * dy
-        qb = Emat[0] * z0x * dx + Emat[1] * z0y * dy
-        t1 = -2.0 * qb / qa
-        z1x, z1y = z0x + t1 * dx, z0y + t1 * dy
-        phi_raw = np.arctan2(z1y * f / bf, z1x * f)
-        dphi = np.mod(phi_raw - phi, two_pi)
-        phi = phi + dphi
-        r = dx * (-np.sin(phi) / f) + dy * (bf * np.cos(phi) / f)
-        total += dphi
-    out = total / (two_pi * steps)
-    return float(out) if out.ndim == 0 else out
+    out = _winding(_coefficients(e, f), 0.0, -1.0, steps)
+    return float(out) if np.ndim(out) == 0 else out

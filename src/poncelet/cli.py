@@ -9,6 +9,7 @@ produce byte-identical output.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .billiard import porism_f, rotation_confocal, rotation_estimate
 from .conics import SymmetricConic, confocal_ellipse, unit_circle
-from .errors import InvalidParameter, PonceletError
+from .errors import InvalidParameter, NonFiniteResult, PonceletError
 from .maps import covering, estimate_rotation, invert_rho, polygon, rho_of_nu
 from .pencil import as_param, build_pencil, f_of_nu
 from .svg import svg_figure
@@ -25,14 +26,31 @@ from .verify import SUITES, run_suite
 _CONIC_KEYS = ("c11", "c12", "c13", "c22", "c23", "c33")
 
 
+def _require_finite(values, what):
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParameter(f"{what} needs finite numbers, got {values!r}")
+    return values
+
+
 def _parse_floats(text, n, what):
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != n:
         raise InvalidParameter(f"{what} needs {n} comma-separated numbers, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise InvalidParameter(f"could not parse {what} value {text!r}") from None
+    return _require_finite(values, what)
+
+
+def _json_floats(values, what):
+    """Floats from JSON numbers; strings, booleans and null are rejected."""
+    if not all(type(v) in (int, float) for v in values):
+        raise InvalidParameter(f"{what} needs numbers, got {values!r}")
+    try:
+        return _require_finite([float(v) for v in values], what)
+    except OverflowError:
+        raise InvalidParameter(f"{what} has a number out of range") from None
 
 
 def _parse_ell(text):
@@ -53,7 +71,7 @@ def _parse_ell(text):
 def _conic_from_fragment(frag, what):
     if not isinstance(frag, dict) or set(frag) != set(_CONIC_KEYS):
         raise InvalidParameter(f"{what} must be an object with keys {_CONIC_KEYS}")
-    return SymmetricConic(*(float(frag[k]) for k in _CONIC_KEYS))
+    return SymmetricConic(*_json_floats([frag[k] for k in _CONIC_KEYS], what))
 
 
 def _diag_pencil(lam):
@@ -78,11 +96,13 @@ def _pencil_from_args(args):
         raise InvalidParameter(f"cannot read pencil file: {ex}") from None
     except json.JSONDecodeError as ex:
         raise InvalidParameter(f"pencil file is not valid JSON: {ex}") from None
+    if not isinstance(data, dict):
+        raise InvalidParameter("pencil JSON must be an object")
     if "lambda" in data:
         lam = data["lambda"]
         if not isinstance(lam, list) or len(lam) != 3:
             raise InvalidParameter('"lambda" must be a list of three numbers')
-        return _diag_pencil([float(v) for v in lam])
+        return _diag_pencil(_json_floats(lam, '"lambda"'))
     if "C1" in data and "C2" in data:
         return build_pencil(
             _conic_from_fragment(data["C1"], '"C1"'),
@@ -101,7 +121,11 @@ def _emit(args, text):
 
 
 def _emit_json(args, report):
-    _emit(args, json.dumps(report, indent=2) + "\n")
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResult("the report holds a NaN or infinite number") from None
+    _emit(args, text + "\n")
 
 
 def _write_svg(args, P, members, orbit):
@@ -168,7 +192,8 @@ def _cmd_invert(args):
     return 0
 
 
-def _cmd_polygon(args):
+def _member_orbit(args):
+    """Orbit of covering(P, 0) under the member named by --ell or --nu."""
     P = _pencil_from_args(args)
     if args.ell is not None:
         nu = invert_rho(P, _parse_ell(args.ell)[0])
@@ -176,7 +201,11 @@ def _cmd_polygon(args):
         nu = _parse_floats(args.nu, 2, "--nu")
     orbit = polygon(P, nu, covering(P, 0.0), max_steps=args.steps)
     _write_svg(args, P, [nu], orbit.points)
-    _emit_json(args, orbit.to_json_dict())
+    return orbit
+
+
+def _cmd_polygon(args):
+    _emit_json(args, _member_orbit(args).to_json_dict())
     return 0
 
 
@@ -208,13 +237,7 @@ def _cmd_verify(args):
 
 
 def _cmd_render(args):
-    P = _pencil_from_args(args)
-    if args.ell is not None:
-        nu = invert_rho(P, _parse_ell(args.ell)[0])
-    else:
-        nu = _parse_floats(args.nu, 2, "--nu")
-    orbit = polygon(P, nu, covering(P, 0.0), max_steps=args.steps)
-    _write_svg(args, P, [nu], orbit.points)
+    orbit = _member_orbit(args)
     report = {
         "command": "render",
         "svg": args.svg,

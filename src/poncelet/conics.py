@@ -6,19 +6,10 @@ stored, so the matrix is symmetric by construction. Points are plain
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import NotAnEllipse, PointNotOutside
-
-TOL_ON = 1e-9
-
-
-class PointClass(Enum):
-    INSIDE = "inside"
-    ON = "on"
-    OUTSIDE = "outside"
+from .errors import NotAnEllipse
 
 
 @dataclass(frozen=True)
@@ -95,70 +86,3 @@ def _homogeneous(z) -> np.ndarray:
 def quadratic_form(C: SymmetricConic, z) -> float:
     u = _homogeneous(z)
     return float(u @ C.matrix @ u)
-
-
-def classify_point(C: SymmetricConic, z) -> PointClass:
-    """Sign of u^T C u, with a scale-normalized band for On."""
-    u = _homogeneous(z)
-    q = float(u @ C.matrix @ u)
-    band = TOL_ON * np.linalg.norm(C.matrix) * float(u @ u)
-    if abs(q) <= band:
-        return PointClass.ON
-    return PointClass.INSIDE if q < 0.0 else PointClass.OUTSIDE
-
-
-def adjugate(C: SymmetricConic) -> np.ndarray:
-    """adj(C) with C @ adj(C) = det(C) I; rows are cross products of columns."""
-    M = C.matrix
-    return np.column_stack(
-        [
-            np.cross(M[:, 1], M[:, 2]),
-            np.cross(M[:, 2], M[:, 0]),
-            np.cross(M[:, 0], M[:, 1]),
-        ]
-    ).T
-
-
-def tangent_lines_from_point(C: SymmetricConic, z):
-    """The two tangent lines to C through the outside point z.
-
-    Works in the dual picture: lines through z form a projective pencil
-    s*la + t*lb, and tangency is the quadratic l^T adj(C) l = 0 on that
-    pencil. Returned lines have unit (l1, l2) norm, largest of the first
-    two components positive, and are ordered by direction angle.
-    """
-    if classify_point(C, z) is not PointClass.OUTSIDE:
-        raise PointNotOutside(f"point {tuple(z)!r} is not outside the conic")
-    u = _homogeneous(z)
-    # two independent lines through z; u3 = 1 keeps {e1, e2, u} a basis
-    la = np.cross(u, [1.0, 0.0, 0.0])
-    lb = np.cross(u, [0.0, 1.0, 0.0])
-    adj = adjugate(C)
-    qa = float(la @ adj @ la)
-    qb = float(lb @ adj @ lb)
-    qm = float(la @ adj @ lb)
-    disc = qm * qm - qa * qb
-    if disc <= 0.0:
-        raise PointNotOutside(f"no real tangent pair from {tuple(z)!r}")
-    qq = -(qm + np.copysign(np.sqrt(disc), qm))
-    # projective roots (s:t) of qa s^2 + 2 qm s t + qb t^2, paired to avoid
-    # cancellation when qa or qb is small
-    lines = []
-    for s, t in ((qq, qa), (qb, qq)):
-        l = s * la + t * lb
-        n = np.hypot(l[0], l[1])
-        l = l / n
-        if max((l[0], l[1]), key=abs) < 0.0:
-            l = -l
-        lines.append(l)
-    lines.sort(key=lambda l: np.arctan2(l[1], l[0]))
-    return lines[0], lines[1]
-
-
-def tangency_point(C: SymmetricConic, line) -> np.ndarray:
-    """Touch point of a tangent line, as the pole adj(C) l, dehomogenized."""
-    l = np.asarray(line, dtype=float)
-    p = adjugate(C) @ l
-    if abs(p[2]) < 1e-13 * np.linalg.norm(p):
-        raise PointNotOutside("tangency point at infinity")
-    return p[:2] / p[2]

@@ -33,10 +33,6 @@ class NotAnEllipse(PonceletError):
         super().__init__(message or f"not an ellipse: {reason}")
 
 
-class PointNotOutside(PonceletError):
-    code = "point_not_outside"
-
-
 class DegenerateSpectrum(PonceletError):
     """Generalized eigenvalues coincide, are complex, or are not all positive."""
 
@@ -103,6 +99,12 @@ class OffCircle(PonceletError):
 
 class OffOuterConic(PonceletError):
     code = "off_outer_conic"
+
+
+class NonFiniteResult(PonceletError):
+    """A report would hold NaN or an infinity, which JSON cannot carry."""
+
+    code = "non_finite_result"
 
 
 class InvalidPeriod(PonceletError):

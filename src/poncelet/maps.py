@@ -1,6 +1,8 @@
 """Poncelet maps on a pencil: stepping, rotation numbers, compositions.
 
-The positive step moves counterclockwise in the standardized chart (inner
+Every step runs through one kernel: the standard map of the unit circle
+against S_e^f, in the chart where C1 is the unit circle and the member nu
+is S_e^f(nu). The positive step moves counterclockwise in that chart (inner
 conic on the left of the chord). Rotation numbers are plain floats in
 [0, 1/2]; 0 is the outer conic, 1/2 the limiting point.
 """
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import quadratic_form, tangent_lines_from_point
+from .conics import quadratic_form
 from .elliptic import Modulus, ellint_F, ellint_K, jacobi
 from .errors import InvalidParameter, InvalidRotation, OffCircle, OffOuterConic
 from .pencil import (
@@ -19,7 +21,7 @@ from .pencil import (
     _param_kind,
     apply_homography,
     as_param,
-    member,
+    f_of_nu,
 )
 
 TOL_CLOSE = 1e-7
@@ -63,11 +65,53 @@ def _require_on_outer(P: Pencil, z):
         raise OffOuterConic(f"point {tuple(z)!r} is not on the outer conic")
 
 
+def _coefficients(e, f, inverse=False):
+    """(e^2, a1, a2, a3, a4) of the standard map against S_e^f.
+
+    numpy ufuncs, so e and f may be arrays. The inverse map is the same
+    kernel with a1 -> -a1 (reflection symmetry of S_e^f).
+    """
+    e2, f2 = e * e, f * f
+    a1 = 2.0 * f * np.sqrt((1.0 - f2) * (e2 - f2))
+    if inverse:
+        a1 = -a1
+    return e2, a1, e2 - f2 * f2, e2 + f2 * f2 - 2.0 * f2, e2 * (1.0 - 2.0 * f2) + f2 * f2
+
+
+def _step(c, X, Y):
+    """The one chord step: (X, Y) on the unit circle to its image, put back
+    on the circle so that long orbits do not drift off it.
+
+    The closed form divides the numerator below by
+    den = a2^2 - a1^2 e^2 Y^2 >= a4^2 > 0, so normalising the numerator is
+    the same map.
+    """
+    e2, a1, a2, a3, a4 = c
+    root = np.sqrt(np.maximum(1.0 - e2 * Y * Y, 0.0))
+    X1 = -(a1 * a4 * Y * root + a2 * a3 * X)
+    Y1 = a1 * a2 * X * root - a3 * a4 * Y
+    n = np.hypot(X1, Y1)
+    return X1 / n, Y1 / n
+
+
+def _winding(c, X, Y, steps: int):
+    """Winding average of `steps` kernel steps from (X, Y); O(1/steps)."""
+    phi = np.arctan2(Y, X)
+    total = 0.0
+    for _ in range(steps):
+        X, Y = _step(c, X, Y)
+        phi1 = np.arctan2(Y, X)
+        total = total + np.mod(phi1 - phi, 2.0 * math.pi)
+        phi = phi1
+    return total / (2.0 * math.pi * steps)
+
+
 def standard_map(e, f: float, p) -> np.ndarray:
     """The explicit Poncelet map of the unit circle against S_e^f.
 
     Rational in (X, Y, sqrt(1 - e^2 Y^2)) with the non-negative branch of
-    the square root. f = 0 is the antipodal map, f = e the identity.
+    the square root. f = 0 is the antipodal map, f = e the identity. The
+    image is put back on the circle, so the map can be iterated.
     """
     e = e.e if isinstance(e, Modulus) else float(e)
     f = float(f)
@@ -76,58 +120,25 @@ def standard_map(e, f: float, p) -> np.ndarray:
     X, Y = float(p[0]), float(p[1])
     if abs(X * X + Y * Y - 1.0) > 1e-9:
         raise OffCircle(f"point {tuple(p)!r} is not on the unit circle")
-    f2 = f * f
-    e2 = e * e
-    a1 = 2.0 * f * math.sqrt((1.0 - f2) * (e2 - f2))
-    a2 = e2 - f2 * f2
-    a3 = e2 + f2 * f2 - 2.0 * f2
-    a4 = e2 * (1.0 - 2.0 * f2) + f2 * f2
-    root = math.sqrt(max(1.0 - e2 * Y * Y, 0.0))
-    den = a2 * a2 - a1 * a1 * e2 * Y * Y
-    return np.array(
-        [
-            -(a1 * a4 * Y * root + a2 * a3 * X) / den,
-            (a1 * a2 * X * root - a3 * a4 * Y) / den,
-        ]
-    )
+    return np.array(_step(_coefficients(e, f), X, Y))
 
 
-def _second_intersection(C1, z, line) -> np.ndarray:
-    """Far intersection of a chord through z (on C1) with C1."""
-    M = C1.matrix
-    d = np.array([-line[1], line[0], 0.0])
-    u = np.array([float(z[0]), float(z[1]), 1.0])
-    a = float(d @ M @ d)
-    b = float(u @ M @ d)
-    c = float(u @ M @ u)
-    t = (-b - math.copysign(math.sqrt(b * b - a * c), b)) / a
-    return (u + t * d)[:2]
+def _member_coefficients(P: Pencil, nu, inverse=False):
+    nu = as_param(nu).canonical()
+    if _param_kind(P.lam, nu) == "outer":
+        raise InvalidParameter("the outer conic defines no tangent dynamics")
+    return _coefficients(P.e.e, f_of_nu(P, nu), inverse)
 
 
 def poncelet_step(P: Pencil, nu, z, inverse: bool = False) -> np.ndarray:
-    """One positive-orientation Poncelet step of z on C1 against C_nu."""
+    """One positive-orientation Poncelet step of z on C1 against C_nu.
+
+    The standard map against S_e^f(nu) seen through the chart; the limiting
+    ray (f = 0) gives the conjugated half turn.
+    """
     _require_on_outer(P, z)
-    nu = as_param(nu).canonical()
-    kind = _param_kind(P.lam, nu)
-    if kind == "outer":
-        raise InvalidParameter("the outer conic defines no tangent dynamics")
-    w = to_chart(P, z)
-    if kind == "limit":
-        # chords through the limiting point: the conjugated half turn
-        return from_chart(P, -w)
-    C = member(P, nu)
-    best, best_cross = None, 0.0
-    for line in tangent_lines_from_point(C, z):
-        z2 = _second_intersection(P.C1, z, line)
-        w2 = to_chart(P, z2)
-        cross = w[0] * w2[1] - w[1] * w2[0]
-        if inverse:
-            cross = -cross
-        if cross > best_cross:
-            best, best_cross = z2, cross
-    if best is None:
-        raise OffOuterConic(f"no oriented tangent chord found from {tuple(z)!r}")
-    return best
+    c = _member_coefficients(P, nu, inverse)
+    return from_chart(P, _step(c, *to_chart(P, z)))
 
 
 def covering(P: Pencil, theta: float) -> np.ndarray:
@@ -193,73 +204,63 @@ def symmetry_flow(P: Pencil, t: float, z) -> np.ndarray:
 
 
 def estimate_rotation(P: Pencil, nu, n: int = 10000) -> float:
-    """Winding average of n geometric steps; O(1/n) error."""
-    nu = as_param(nu).canonical()
-    if _param_kind(P.lam, nu) == "outer":
-        raise InvalidParameter("the outer conic defines no tangent dynamics")
+    """Winding average of n steps from covering(P, 0.041); O(1/n) error."""
+    c = _member_coefficients(P, nu)
     n = int(n)
     if n < 100:
         raise InvalidParameter(f"need at least 100 steps, got {n!r}")
-    z = covering(P, 0.041)
-    w = to_chart(P, z)
-    phi = math.atan2(w[1], w[0])
-    total = 0.0
-    for _ in range(n):
-        z = poncelet_step(P, nu, z)
-        w = to_chart(P, z)
-        phi1 = math.atan2(w[1], w[0])
-        total += (phi1 - phi) % (2.0 * math.pi)
-        phi = phi1
-    return total / (2.0 * math.pi * n)
+    return float(_winding(c, *to_chart(P, covering(P, 0.041)), n))
+
+
+def _chart_orbit(P: Pencil, z0, ws, winding, residual, rho) -> PolygonOrbit:
+    """z0 followed by the chart points ws, mapped back in one product."""
+    pts = np.asarray(z0, dtype=float).reshape(1, 2)
+    if ws:
+        u = np.column_stack([np.asarray(ws), np.ones(len(ws))]) @ P.M.T
+        pts = np.vstack([pts, u[:, :2] / u[:, 2:]])
+    return PolygonOrbit(
+        points=tuple(map(tuple, pts)),
+        steps=len(ws),
+        winding=winding,
+        closure_residual=residual,
+        rho=rho,
+    )
 
 
 def polygon(P: Pencil, nu, z0, max_steps: int = 10000) -> PolygonOrbit:
     """Iterate P_nu from z0 until first return within TOL_CLOSE (standard
     chart) or max_steps; winding = round(steps * rho)."""
     _require_on_outer(P, z0)
+    max_steps = int(max_steps)
+    if max_steps < 1:
+        raise InvalidParameter(f"need at least one step, got {max_steps!r}")
     rho = rho_of_nu(P, nu)
-    w0 = to_chart(P, z0)
-    points = [np.asarray(z0, dtype=float)]
-    z = z0
-    residual = math.inf
-    for _ in range(int(max_steps)):
-        z = poncelet_step(P, nu, z)
-        points.append(z)
-        residual = float(np.linalg.norm(to_chart(P, z) - w0))
+    c = _member_coefficients(P, nu)
+    X0, Y0 = X, Y = to_chart(P, z0)
+    ws = []
+    for _ in range(max_steps):
+        X, Y = _step(c, X, Y)
+        ws.append((X, Y))
+        residual = math.hypot(X - X0, Y - Y0)
         if residual < TOL_CLOSE:
             break
-    steps = len(points) - 1
-    return PolygonOrbit(
-        points=tuple(map(tuple, points)),
-        steps=steps,
-        winding=int(round(steps * rho)),
-        closure_residual=residual,
-        rho=rho,
-    )
+    return _chart_orbit(P, z0, ws, int(round(len(ws) * rho)), residual, rho)
 
 
 def run_composition(P: Pencil, schedule, z0) -> PolygonOrbit:
     """Apply (P_nu)^k blocks in order; rotation numbers add as sum(k rho)."""
     _require_on_outer(P, z0)
     total_rho = 0.0
+    blocks = []
     for nu, k in schedule:
-        nu = as_param(nu).canonical()
-        if _param_kind(P.lam, nu) == "outer":
-            raise InvalidParameter("the outer conic defines no tangent dynamics")
-        total_rho += int(k) * rho_of_nu(P, nu)
-    w0 = to_chart(P, z0)
-    points = [np.asarray(z0, dtype=float)]
-    z = z0
-    for nu, k in schedule:
-        for _ in range(abs(int(k))):
-            z = poncelet_step(P, nu, z, inverse=k < 0)
-            points.append(z)
-    residual = float(np.linalg.norm(to_chart(P, z) - w0))
-    steps = len(points) - 1
-    return PolygonOrbit(
-        points=tuple(map(tuple, points)),
-        steps=steps,
-        winding=int(round(total_rho)),
-        closure_residual=residual,
-        rho=total_rho,
-    )
+        k = int(k)
+        blocks.append((_member_coefficients(P, nu, inverse=k < 0), abs(k)))
+        total_rho += k * rho_of_nu(P, nu)
+    X0, Y0 = X, Y = to_chart(P, z0)
+    ws = []
+    for c, k in blocks:
+        for _ in range(k):
+            X, Y = _step(c, X, Y)
+            ws.append((X, Y))
+    residual = math.hypot(X - X0, Y - Y0)
+    return _chart_orbit(P, z0, ws, int(round(total_rho)), residual, total_rho)

@@ -120,6 +120,21 @@ def _null_vector(A: np.ndarray) -> np.ndarray:
     return best / math.sqrt(best_n)
 
 
+def _polish(M, DA, DB) -> np.ndarray:
+    """One Newton step M -> M (I + E) that removes, to first order, the
+    off-diagonal parts of DA = M^T A M and DB = M^T B M.
+
+    Null vectors are only as exact as the eigenvalue gaps allow, and every
+    chart computation (the Poncelet step included) inherits their error;
+    this step takes the residual from about 1e-11 to rounding level.
+    """
+    s, d = DA.diagonal(), DB.diagonal()
+    # E_ij and E_ji solve s_i E_ij + s_j E_ji = -DA_ij, d_i E_ij + d_j E_ji = -DB_ij;
+    # the numerator's diagonal is exactly 0, so adding I to den leaves E_ii = 0
+    den = s[:, None] * d - d[:, None] * s + np.eye(3)
+    return M + M @ ((s * DB - d * DA) / den)
+
+
 def build_pencil(C1: SymmetricConic, C2: SymmetricConic) -> Pencil:
     """Diagonalize the nested pair and package eigenvalues and homography."""
     validate_ellipse(C1)
@@ -155,6 +170,7 @@ def build_pencil(C1: SymmetricConic, C2: SymmetricConic) -> Pencil:
         and np.allclose(D2, np.diag([lam[0], lam[1], -lam[2]]), atol=1e-9 * s2)
     ):
         raise NotNested("diagonalization residual above tolerance")
+    M = _polish(M, D1, D2)
     # SA3 check: C2 must sit strictly inside C1; sample C2 through the
     # normal-form parameterization l1 X^2 + l2 Y^2 = l3
     scale1 = np.linalg.norm(M1)

@@ -2,14 +2,17 @@
 
 None of these call into the package: the elliptic integrals go through
 scipy.integrate.quad (QUADPACK adaptive Gauss-Kronrod) on the defining
-integrands, tangent lines through elementary circle geometry, and the circle
-pencil spectrum through the quadratic formula. Test modules import from here;
+integrands, tangent lines through elementary circle geometry or through the
+dual conic, the Poncelet step through those tangent lines, and the circle
+pencil spectrum through the quadratic formula. Conics are plain symmetric
+3x3 matrices of u^T C u with u = (x, y, 1). Test modules import from here;
 the library must agree with these within the tolerances stated in the tests.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
@@ -127,3 +130,118 @@ def random_spd_congruence(rng, scale=1.0):
         S = rng.normal(size=(3, 3)) * scale
         if abs(np.linalg.det(S)) > 0.1:
             return S
+
+
+# -- the tangent-line route to the Poncelet step ------------------------------
+
+TOL_ON = 1e-9
+
+
+class PointClass(Enum):
+    INSIDE = "inside"
+    ON = "on"
+    OUTSIDE = "outside"
+
+
+class PointNotOutside(ValueError):
+    """No real pair of tangent lines from the point."""
+
+
+def _homogeneous(z):
+    return np.array([float(z[0]), float(z[1]), 1.0])
+
+
+def classify_point(C, z):
+    """Sign of u^T C u, with a scale-normalized band for On."""
+    C = np.asarray(C, dtype=float)
+    u = _homogeneous(z)
+    q = float(u @ C @ u)
+    band = TOL_ON * np.linalg.norm(C) * float(u @ u)
+    if abs(q) <= band:
+        return PointClass.ON
+    return PointClass.INSIDE if q < 0.0 else PointClass.OUTSIDE
+
+
+def adjugate(C):
+    """adj(C) with C @ adj(C) = det(C) I; rows are cross products of columns."""
+    M = np.asarray(C, dtype=float)
+    return np.column_stack(
+        [
+            np.cross(M[:, 1], M[:, 2]),
+            np.cross(M[:, 2], M[:, 0]),
+            np.cross(M[:, 0], M[:, 1]),
+        ]
+    ).T
+
+
+def tangent_lines_from_point(C, z):
+    """The two tangent lines to C through the outside point z.
+
+    Works in the dual picture: lines through z form a projective pencil
+    s*la + t*lb, and tangency is the quadratic l^T adj(C) l = 0 on that
+    pencil. Returned lines have unit (l1, l2) norm, largest of the first
+    two components positive, and are ordered by direction angle.
+    """
+    if classify_point(C, z) is not PointClass.OUTSIDE:
+        raise PointNotOutside(f"point {tuple(z)!r} is not outside the conic")
+    u = _homogeneous(z)
+    # two independent lines through z; u3 = 1 keeps {e1, e2, u} a basis
+    la = np.cross(u, [1.0, 0.0, 0.0])
+    lb = np.cross(u, [0.0, 1.0, 0.0])
+    adj = adjugate(C)
+    qa = float(la @ adj @ la)
+    qb = float(lb @ adj @ lb)
+    qm = float(la @ adj @ lb)
+    disc = qm * qm - qa * qb
+    if disc <= 0.0:
+        raise PointNotOutside(f"no real tangent pair from {tuple(z)!r}")
+    qq = -(qm + np.copysign(np.sqrt(disc), qm))
+    # projective roots (s:t) of qa s^2 + 2 qm s t + qb t^2, paired to avoid
+    # cancellation when qa or qb is small
+    lines = []
+    for s, t in ((qq, qa), (qb, qq)):
+        l = s * la + t * lb
+        l = l / np.hypot(l[0], l[1])
+        if max((l[0], l[1]), key=abs) < 0.0:
+            l = -l
+        lines.append(l)
+    lines.sort(key=lambda l: np.arctan2(l[1], l[0]))
+    return lines[0], lines[1]
+
+
+def tangency_point(C, line):
+    """Touch point of a tangent line, as the pole adj(C) l, dehomogenized."""
+    p = adjugate(C) @ np.asarray(line, dtype=float)
+    if abs(p[2]) < 1e-13 * np.linalg.norm(p):
+        raise PointNotOutside("tangency point at infinity")
+    return p[:2] / p[2]
+
+
+def _second_intersection(C1, z, line):
+    """Far intersection of a chord through z (on C1) with C1."""
+    M = np.asarray(C1, dtype=float)
+    d = np.array([-line[1], line[0], 0.0])
+    u = _homogeneous(z)
+    a = float(d @ M @ d)
+    b = float(u @ M @ d)
+    c = float(u @ M @ u)
+    t = (-b - math.copysign(math.sqrt(b * b - a * c), b)) / a
+    return (u + t * d)[:2]
+
+
+def geometric_step(C1, C, z, inverse=False):
+    """Poncelet step of z on the outer conic C1 along a tangent to the inner
+    conic C: the chord with C on its left, or on its right when inverse.
+
+    C lies on one side of each tangent line, so the side of its centre (the
+    pole of the line at infinity) tells the two chords apart.
+    """
+    centre = tangency_point(C, (0.0, 0.0, 1.0))
+    z = np.asarray(z, dtype=float)
+    for line in tangent_lines_from_point(C, z):
+        z2 = _second_intersection(C1, z, line)
+        a, b = z2 - z, centre - z
+        left = a[0] * b[1] - a[1] * b[0]
+        if (left < 0.0) if inverse else (left > 0.0):
+            return z2
+    raise PointNotOutside(f"no oriented tangent chord from {tuple(z)!r}")

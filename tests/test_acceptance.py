@@ -45,6 +45,7 @@ from poncelet import (
     standard_map,
     unit_circle,
 )
+from oracles import geometric_step
 from poncelet.billiard import boundary_point
 from poncelet.maps import from_chart, to_chart
 from poncelet.pencil import pencil_cubic
@@ -93,9 +94,9 @@ def test_criterion_02_pencil_fixture_and_conjugacy():
     worst = 0.0
     for k in range(32):
         th = (k + 0.37) / 32.0
-        # pencil step vs the standard map seen through the chart
+        # tangent-line step vs the standard map seen through the chart
         zP = covering(P, th)
-        z1 = poncelet_step(P, (0.0, 1.0), zP)
+        z1 = geometric_step(P.C1.matrix, P.C2.matrix, zP)
         z2 = from_chart(P, standard_map(e, f, to_chart(P, zP)))
         worst = max(worst, float(np.hypot(*(z1 - z2))))
         # billiard map on the confocal pair vs both other routes
@@ -103,7 +104,7 @@ def test_criterion_02_pencil_fixture_and_conjugacy():
         zB = boundary_point(f, phi)
         s1 = billiard_map(f, caustic_state(e, phi))
         zb1 = boundary_point(f, s1.phi)
-        zb2 = poncelet_step(Pc, (0.0, 1.0), zB)
+        zb2 = geometric_step(Pc.C1.matrix, Pc.C2.matrix, zB)
         zb3 = from_chart(Pc, standard_map(e, f, to_chart(Pc, zB)))
         worst = max(worst, float(np.hypot(*(zb1 - zb2))))
         worst = max(worst, float(np.hypot(*(zb1 - zb3))))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import winding_rotation
 from poncelet.billiard import (
     EccPair,
     PhasePoint,
@@ -23,6 +24,7 @@ from poncelet.billiard import (
     rotation_estimate,
 )
 from poncelet.errors import (
+    InvalidParameter,
     InvalidRotation,
     NotInDelta,
     NotInUPlus,
@@ -198,6 +200,20 @@ def test_rotation_estimate_matches_closed_form():
         )
 
 
+def test_rotation_estimate_matches_billiard_map_winding():
+    # the chart kernel and repeated reflections from the same start state
+    n = 2000
+    for e, f in ((0.8, F_SQ), (0.6, 0.3), (0.95, 0.7), (0.3, 0.05)):
+        s = caustic_state(e, 0.0)
+        phis = [s.phi]
+        for _ in range(n):
+            s = billiard_map(f, s)
+            phis.append(s.phi)
+        assert rotation_estimate(e, f, steps=n) == pytest.approx(
+            winding_rotation(phis, n), abs=1.0 / n
+        )
+
+
 def test_rotation_estimate_broadcasts():
     e = np.array([0.8, 0.9])
     f = np.array([0.4, 0.2])
@@ -207,6 +223,8 @@ def test_rotation_estimate_broadcasts():
         assert est[i] == pytest.approx(rotation_confocal(e[i], f[i]), abs=5e-4)
     with pytest.raises(NotInDelta):
         rotation_estimate(np.array([0.8, 0.5]), np.array([0.4, 0.6]), steps=10)
+    with pytest.raises(InvalidParameter):
+        rotation_estimate(e, f, steps=0)
 
 
 def test_rotation_monotone_in_each_slot():

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON/CSV/SVG output."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -163,6 +164,42 @@ def test_pencil_json_file_sources(capsys, tmp_path):
     path.write_text(json.dumps({"C1": frag1}))
     rc, _, err = run_cli(capsys, "rotation", "--pencil", str(path))
     assert rc == 2 and json.loads(err)["error"] == "invalid_parameter"
+
+
+@pytest.mark.parametrize(
+    "argv, pencil_text",
+    [
+        (["polygon", "--lambda", LAM, "--steps", "-3"], None),
+        (["sweep", "--grid", "2x2", "--steps", "0"], None),
+        (["rotation", "--lambda", "0.2,0.125,nan"], None),
+        (["rotation"], '{"lambda": ["a", 1, 2]}'),
+        (["rotation"], "3.5"),
+    ],
+    ids=["negative-steps", "zero-sweep-steps", "nan-lambda", "string-lambda", "scalar-json"],
+)
+def test_contract_rejects_bad_input(capsys, tmp_path, argv, pencil_text):
+    if pencil_text is not None:
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_text)
+        argv = argv + ["--pencil", str(path)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "invalid_parameter"
+
+
+def test_non_finite_report_is_an_error(capsys, monkeypatch):
+    import poncelet.cli as cli
+
+    real = cli.polygon
+
+    def open_forever(*args, **kwargs):
+        orbit = real(*args, **kwargs)
+        return dataclasses.replace(orbit, closure_residual=math.inf)
+
+    monkeypatch.setattr(cli, "polygon", open_forever)
+    rc, out, err = run_cli(capsys, "polygon", "--lambda", LAM, "--ell", "1/4")
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "non_finite_result"
 
 
 def test_sweep_csv_shape_and_determinism(capsys):

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poncelet.conics import adjugate, confocal_ellipse
+from oracles import PointClass, adjugate, classify_point, geometric_step
+from poncelet.conics import confocal_ellipse
 from poncelet.errors import (
     InvalidParameter,
     InvalidRotation,
@@ -13,6 +16,8 @@ from poncelet.errors import (
     OffOuterConic,
 )
 from poncelet.maps import (
+    _coefficients,
+    _step,
     covering,
     estimate_rotation,
     from_chart,
@@ -127,7 +132,8 @@ def test_step_guards():
 
 
 def test_step_matches_standard_map_conjugacy():
-    # geometric stepping == M(P_e^f(M^-1 z)) through the standardized chart
+    # tangent-line stepping (the oracle) == M(P_e^f(M^-1 z)) through the
+    # standardized chart
     rng = np.random.default_rng(23)
     pencils = [diag_pencil(), confocal_pair_pencil()]
     for _ in range(6):
@@ -138,10 +144,49 @@ def test_step_matches_standard_map_conjugacy():
         for _ in range(8):
             nu = invert_rho(P, rng.uniform(0.03, 0.47))
             z = covering(P, rng.uniform(0.0, 1.0))
-            z_geo = poncelet_step(P, nu, z)
+            z_geo = geometric_step(P.C1.matrix, member(P, nu).matrix, z)
             z_std = from_chart(P, standard_map(P.e, f_of_nu(P, nu), to_chart(P, z)))
             worst = max(worst, float(np.linalg.norm(z_geo - z_std)))
+            worst = max(worst, float(np.linalg.norm(z_geo - poncelet_step(P, nu, z))))
     assert worst < 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ell=st.floats(0.02, 0.48),
+    theta=st.floats(0.0, 1.0),
+)
+def test_kernel_matches_tangent_line_oracle(seed, ell, theta):
+    # every vertex of a chart-iterated orbit is the oracle's tangent-line
+    # step of the previous one, both ways round, and sits on C1
+    C1, C2, _ = random_nested_pair(np.random.default_rng(seed))
+    P = build_pencil(C1, C2)
+    nu = invert_rho(P, ell)
+    C = member(P, nu).matrix
+    orb = polygon(P, nu, covering(P, theta), max_steps=25)
+    pts = [np.array(p) for p in orb.points]
+    for z, z1 in zip(pts, pts[1:]):
+        assert np.linalg.norm(z1 - geometric_step(C1.matrix, C, z)) < 1e-8
+        assert classify_point(C1.matrix, z1) is PointClass.ON
+        back = poncelet_step(P, nu, z1, inverse=True)
+        assert np.linalg.norm(back - geometric_step(C1.matrix, C, z1, inverse=True)) < 1e-8
+
+
+def test_kernel_does_not_drift_off_circle():
+    # without renormalisation the iterate collapses onto the origin within
+    # 100 steps and the public map raises OffCircle by step 30
+    e, f = 0.9, 0.5
+    c = _coefficients(e, f)
+    X, Y = 1.0, 0.0
+    worst = 0.0
+    for _ in range(100_000):
+        X, Y = _step(c, X, Y)
+        worst = max(worst, abs(X * X + Y * Y - 1.0))
+    assert worst < 1e-12
+    p = np.array([1.0, 0.0])
+    for _ in range(10_000):
+        p = standard_map(e, f, p)
 
 
 def test_covering_basics():
@@ -332,7 +377,7 @@ def test_polygon_sides_tangent_to_member():
     P = diag_pencil()
     nu = invert_rho(P, 0.25)
     C = member(P, nu)
-    A = adjugate(C)
+    A = adjugate(C.matrix)
     orb = polygon(P, nu, covering(P, 0.29))
     pts = [np.array([x, y, 1.0]) for x, y in orb.points]
     for u, v in zip(pts[:-1], pts[1:]):

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from poncelet.conics import (
-    PointClass,
     SymmetricConic,
-    classify_point,
     confocal_ellipse,
     validate_ellipse,
 )
