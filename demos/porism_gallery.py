@@ -1,7 +1,8 @@
 """Render closed Poncelet polygons for a few rational rotation numbers.
 
-Writes one SVG per rotation number next to this script. The boundary is
-solved from the caustic eccentricity so every orbit closes exactly.
+Writes one SVG per rotation number into the current directory. The
+boundary is solved from the caustic eccentricity so every orbit closes
+exactly.
 """
 
 import pathlib
@@ -10,7 +11,6 @@ from fractions import Fraction
 from poncelet import build_pencil, confocal_ellipse, covering, polygon, porism_f
 from poncelet.svg import svg_figure
 
-HERE = pathlib.Path(__file__).resolve().parent
 CAUSTIC_E = 0.8
 
 for s in ("1/3", "1/4", "2/7", "1/6", "3/10"):
@@ -18,7 +18,7 @@ for s in ("1/3", "1/4", "2/7", "1/6", "3/10"):
     f = porism_f(CAUSTIC_E, float(ell))
     P = build_pencil(confocal_ellipse(f.e), confocal_ellipse(CAUSTIC_E))
     orb = polygon(P, (0.0, 1.0), covering(P, 0.13))
-    name = HERE / f"porism_{ell.numerator}_{ell.denominator}.svg"
+    name = pathlib.Path(f"porism_{ell.numerator}_{ell.denominator}.svg")
     name.write_text(svg_figure(P, orbit=orb.points))
     print(
         f"ell={s:>4s}  boundary f={f.e:.6f}  steps={orb.steps}"

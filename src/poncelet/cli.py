@@ -111,6 +111,14 @@ def _pencil_from_args(args):
     raise InvalidParameter('pencil JSON needs either "lambda" or both "C1" and "C2"')
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a JSON error line, like every other failure."""
+
+    def error(self, message):
+        err = {"error": InvalidParameter.code, "message": f"{self.prog}: {message}"}
+        self.exit(2, json.dumps(err) + "\n")
+
+
 def _emit(args, text):
     out = getattr(args, "out", None)
     if out:
@@ -256,7 +264,7 @@ def _add_pencil_opts(p, confocal=True):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="poncelet",
         description="Rotation numbers, porisms and polygons for pencils of nested ellipses.",
     )

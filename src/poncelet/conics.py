@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAnEllipse
+from .errors import InvalidParameter, NotAnEllipse
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def validate_ellipse(C: SymmetricConic) -> SymmetricConic:
 def _homogeneous(z) -> np.ndarray:
     x, y = float(z[0]), float(z[1])
     if not (np.isfinite(x) and np.isfinite(y)):
-        raise ValueError(f"point has non-finite coordinates: {z!r}")
+        raise InvalidParameter(f"point has non-finite coordinates: {z!r}")
     return np.array([x, y, 1.0])
 
 

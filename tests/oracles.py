@@ -3,8 +3,9 @@
 None of these call into the package: the elliptic integrals go through
 scipy.integrate.quad (QUADPACK adaptive Gauss-Kronrod) on the defining
 integrands, tangent lines through elementary circle geometry or through the
-dual conic, the Poncelet step through those tangent lines, and the circle
-pencil spectrum through the quadratic formula. Conics are plain symmetric
+dual conic, the Poncelet step through those tangent lines, the circle
+pencil spectrum through the quadratic formula, and nesting by sampling the
+inner conic from its own centre and axes. Conics are plain symmetric
 3x3 matrices of u^T C u with u = (x, y, 1). Test modules import from here;
 the library must agree with these within the tolerances stated in the tests.
 """
@@ -15,7 +16,9 @@ import math
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 
 def ellint_F_quad(phi, e):
@@ -245,3 +248,58 @@ def geometric_step(C1, C, z, inverse=False):
         if (left < 0.0) if inverse else (left > 0.0):
             return z2
     raise PointNotOutside(f"no oriented tangent chord from {tuple(z)!r}")
+
+
+# -- nesting by sampling the inner conic ---------------------------------------
+
+
+def ellipse_matrix(centre, L):
+    """Conic matrix of the ellipse {centre + L y : |y| = 1}, L an invertible 2x2."""
+    p = np.asarray(centre, dtype=float)
+    S = np.linalg.inv(L @ np.transpose(L))
+    Sp = S @ p
+    return np.block([[S, -Sp[:, None]], [-Sp[None, :], np.array([[p @ Sp - 1.0]])]])
+
+
+def _ellipse_frame(C):
+    """Centre and axis map L of the ellipse C, from C's own 2x2 block: the
+    points are centre + L (cos t, sin t)."""
+    C = np.asarray(C, dtype=float)
+    A, b = C[:2, :2], C[:2, 2]
+    centre = -np.linalg.solve(A, b)
+    k = centre @ A @ centre - C[2, 2]
+    w, V = np.linalg.eigh(A / k)
+    return centre, V / np.sqrt(w)
+
+
+def nesting_margin(C1, C2):
+    """Maximum over C2 of C1's normalised form u^T C1 u / (|C1| (1 + |z|^2)).
+
+    Negative iff C2 lies strictly inside C1. C2 is parametrised from its own
+    centre and axes; the best of 4096 samples is refined by bounded scalar
+    maximisation between its two neighbours.
+    """
+    C1 = np.asarray(C1, dtype=float)
+    centre, L = _ellipse_frame(C2)
+    scale = np.linalg.norm(C1)
+
+    def form(t):
+        t = np.atleast_1d(t)
+        z = centre[:, None] + L @ np.vstack([np.cos(t), np.sin(t)])
+        u = np.vstack([z, np.ones_like(t)])
+        return np.einsum("in,ij,jn->n", u, C1, u) / (scale * (1.0 + (z * z).sum(axis=0)))
+
+    h = 2.0 * math.pi / 4096
+    ts = h * np.arange(4096)
+    t0 = ts[int(np.argmax(form(ts)))]
+    best = minimize_scalar(lambda t: -form(t)[0], bounds=(t0 - h, t0 + h),
+                           method="bounded", options={"xatol": 1e-13})
+    return max(float(form(t0)[0]), -float(best.fun))
+
+
+def spectral_gap(C1, C2):
+    """Smallest distance between roots of det(l C1 - C2), relative to the
+    largest root, from scipy's generalised eigensolver; 0 for a double root."""
+    lam = scipy.linalg.eigvals(np.asarray(C2, dtype=float), np.asarray(C1, dtype=float))
+    d = [abs(lam[i] - lam[j]) for i in range(3) for j in range(i + 1, 3)]
+    return min(d) / max(abs(lam))

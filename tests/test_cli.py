@@ -245,7 +245,31 @@ def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid_parameter"
+
+
+def test_usage_error_is_json(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["polygon", "--lambda", LAM, "--steps", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid_parameter"
+
+
+def test_degenerate_spectrum_is_one_json_line():
+    # concentric circles: the pencil cubic has a double root; run as a
+    # process so that any numpy warning would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "poncelet.cli", "rotation", "--lambda", "1,1,0.25"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "degenerate_spectrum"
+    assert "(1.0, 1.0, 0.25)" in err["message"]
 
 
 def test_render_svg_document(capsys, tmp_path):

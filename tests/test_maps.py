@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import PointClass, adjugate, classify_point, geometric_step
-from poncelet.conics import confocal_ellipse
+from oracles import PointClass, adjugate, classify_point, geometric_step, spectral_gap
+from poncelet.conics import SymmetricConic, confocal_ellipse
 from poncelet.errors import (
     InvalidParameter,
     InvalidRotation,
@@ -37,7 +37,7 @@ from poncelet.pencil import (
     member,
     nesting_order,
 )
-from test_pencil import diag_pencil, random_nested_pair
+from test_pencil import diag_pencil, nested_pairs, random_nested_pair
 
 LAM = (0.2, 0.125, 1.0 / 9.0)
 
@@ -129,6 +129,8 @@ def test_step_guards():
         poncelet_step(P, (0, 1), (0.5, 0.5))
     with pytest.raises(InvalidParameter):
         poncelet_step(P, (1, 0), covering(P, 0.1))
+    with pytest.raises(InvalidParameter):
+        poncelet_step(P, (0, 1), (math.nan, 0.0))
 
 
 def test_step_matches_standard_map_conjugacy():
@@ -238,6 +240,21 @@ def test_rho_quarter_parameter():
     P = diag_pencil()
     nu_star = (math.sqrt((LAM[0] - LAM[2]) * (LAM[1] - LAM[2])) - LAM[2], 1.0)
     assert rho_of_nu(P, nu_star) == pytest.approx(0.25, abs=1e-11)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair=nested_pairs, q=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99))
+def test_duality_and_nesting_over_random_pencils(pair, q, r):
+    # criterion 5 on random pencils: nu and mu sit at fractions q and r of
+    # the valid cone's angle, from the outer conic to the limiting ray
+    C1, C2 = pair
+    assume(spectral_gap(C1, C2) > 1e-6 and abs(q - r) > 1e-3)
+    P = build_pencil(SymmetricConic.from_matrix(C1), SymmetricConic.from_matrix(C2))
+    top = math.atan2(1.0, -P.lam[2])
+    nu, mu = ((math.cos(t * top), math.sin(t * top)) for t in (q, r))
+    assert rho_of_nu(P, nu) + rho_of_nu(P, dual(P, nu)) == pytest.approx(0.5, abs=1e-10)
+    drho = rho_of_nu(P, mu) - rho_of_nu(P, nu)
+    assert math.copysign(1.0, nesting_order(P, nu, mu)) == math.copysign(1.0, drho)
 
 
 def test_invert_rho_contract():

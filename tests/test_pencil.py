@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ellipse_matrix, nesting_margin, spectral_gap
 from poncelet.conics import (
     SymmetricConic,
     confocal_ellipse,
@@ -46,11 +49,16 @@ def diag_pencil():
     return build_pencil(DIAG_OUTER, DIAG_INNER)
 
 
-def random_nested_pair(rng):
-    """Random SA-valid pair by congruence of an ordered diagonal pair."""
+def random_nested_pair(rng, gap=None):
+    """Random SA-valid pair by congruence of an ordered diagonal pair; a
+    given gap sets l1 = l2 (1 + gap)."""
     while True:
         lam = np.sort(rng.uniform(0.1, 3.0, size=3))[::-1]
-        if lam[0] - lam[1] < 1e-2 or lam[1] - lam[2] < 1e-2:
+        if gap is not None:
+            lam[0] = lam[1] * (1.0 + gap)
+        elif lam[0] - lam[1] < 1e-2:
+            continue
+        if lam[1] - lam[2] < 1e-2:
             continue
         S = rng.normal(size=(3, 3))
         if abs(np.linalg.det(S)) < 0.3:
@@ -63,6 +71,60 @@ def random_nested_pair(rng):
         except NotAnEllipse:
             continue
         return C1, C2, lam
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+PAIR_KINDS = ("inside", "near_tangent", "crossing", "containing", "disjoint")
+
+
+@st.composite
+def ellipse_pairs(draw, kinds=PAIR_KINDS):
+    """Plain-matrix pairs (C1, C2) of ellipses by centre, axes, angle and scale.
+
+    The inner ellipse is placed against the unit disk as its kind says, and
+    the affine map of a random outer ellipse carries both into place. A
+    near-tangent inner ellipse has its major axis on a radius and its far
+    vertex at 1 - delta, |delta| from 1e-12 to 1e-2, inside or across.
+    """
+    kind = draw(st.sampled_from(kinds))
+    phi, psi = (draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(2))
+    a = draw(st.floats(0.05, 0.95))
+    b = a * draw(st.floats(0.05, 1.0))
+    if kind == "inside":
+        d = (1.0 - a) * draw(st.floats(0.0, 0.99))
+    elif kind == "near_tangent":
+        delta = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** -draw(st.floats(2.0, 12.0))
+        d, psi = 1.0 - delta - a, phi
+    elif kind == "crossing":
+        # centre on the unit circle; semi-axes below 2 cannot cover the disk
+        d, a, b = 1.0, 2.0 * a, 2.0 * b
+    elif kind == "containing":
+        # minor semi-axis longer than the distance to the far side of the disk
+        d = draw(st.floats(0.0, 1.5))
+        k = (1.0 + d) * draw(st.floats(1.05, 3.0)) / b
+        a, b = k * a, k * b
+    else:
+        d = 1.0 + a + draw(st.floats(0.02, 2.0))
+    inner = ellipse_matrix(
+        d * np.array([math.cos(phi), math.sin(phi)]), _rotation(psi) @ np.diag([a, b])
+    )
+    centre = np.array([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))])
+    axes = draw(st.floats(0.2, 3.0)) * np.array([1.0, draw(st.floats(0.1, 1.0))])
+    T = np.eye(3)
+    T[:2, :2] = _rotation(draw(st.floats(0.0, math.pi))) @ np.diag(axes)
+    T[:2, 2] = centre
+    Tinv = np.linalg.inv(T)
+    s1, s2 = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2))
+    C1 = s1 * Tinv.T @ np.diag([1.0, 1.0, -1.0]) @ Tinv
+    C2 = s2 * Tinv.T @ inner @ Tinv
+    return C1, C2
+
+
+nested_pairs = ellipse_pairs(kinds=("inside",))
 
 
 def test_eigenvalues_diagonal_fixture():
@@ -119,12 +181,28 @@ def test_build_pencil_random_reconstruction():
         C1, C2, lam_ref = random_nested_pair(rng)
         P = build_pencil(C1, C2)
         assert P.lam == pytest.approx(tuple(lam_ref), rel=1e-8)
-        Minv = P.Minv
-        R1 = Minv.T @ np.diag([1.0, 1.0, -1.0]) @ Minv
-        R2 = Minv.T @ np.diag([P.lam[0], P.lam[1], -P.lam[2]]) @ Minv
-        assert R1 == pytest.approx(C1.matrix, rel=1e-8, abs=1e-8 * np.linalg.norm(C1.matrix))
-        assert R2 == pytest.approx(C2.matrix, rel=1e-8, abs=1e-8 * np.linalg.norm(C2.matrix))
-        assert np.linalg.det(P.M) * P.M[2, 2] > 0
+        assert_reconstructs(P, C1, C2)
+
+
+def assert_reconstructs(P, C1, C2):
+    Minv = P.Minv
+    R1 = Minv.T @ np.diag([1.0, 1.0, -1.0]) @ Minv
+    R2 = Minv.T @ np.diag([P.lam[0], P.lam[1], -P.lam[2]]) @ Minv
+    assert R1 == pytest.approx(C1.matrix, rel=1e-8, abs=1e-8 * np.linalg.norm(C1.matrix))
+    assert R2 == pytest.approx(C2.matrix, rel=1e-8, abs=1e-8 * np.linalg.norm(C2.matrix))
+    assert np.linalg.det(P.M) * P.M[2, 2] > 0
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4])
+def test_build_pencil_small_gap_congruences(gap):
+    # raw null vectors of a small top gap miss the 1e-9 residual tolerance,
+    # which the check therefore applies to the polished M
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        C1, C2, lam_ref = random_nested_pair(rng, gap=gap)
+        P = build_pencil(C1, C2)
+        assert P.lam == pytest.approx(tuple(lam_ref), rel=1e-8)
+        assert_reconstructs(P, C1, C2)
 
 
 def test_eccentricity_congruence_invariant():
@@ -149,6 +227,39 @@ def test_build_pencil_rejects_crossing():
     wide = SymmetricConic.from_matrix(np.diag([4.0, 0.3, -1.0]))
     with pytest.raises((NotNested, DegenerateSpectrum)):
         build_pencil(DIAG_OUTER, wide)
+
+
+def test_build_pencil_keeps_raw_null_vectors_when_polish_adds_rounding():
+    # a needle 1e-3 inside an elongated outer ellipse: l1 is about 1e4 times
+    # l2 - l3, so the Newton step there is rounding in D2 over that gap and
+    # would push the residual past the tolerance the raw null vectors meet
+    T = np.eye(3)
+    T[:2, :2] = _rotation(1.0) @ np.diag([2.0, 0.2])
+    T[:2, 2] = (1.0, -2.0)
+    Tinv = np.linalg.inv(T)
+    needle = ellipse_matrix((0.5 - 1e-3, 0.0), np.diag([0.5, 0.025]))
+    C1 = SymmetricConic.from_matrix(Tinv.T @ np.diag([1.0, 1.0, -1.0]) @ Tinv)
+    C2 = SymmetricConic.from_matrix(Tinv.T @ needle @ Tinv)
+    assert nesting_margin(C1.matrix, C2.matrix) < -1e-6
+    assert_reconstructs(build_pencil(C1, C2), C1, C2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=ellipse_pairs())
+def test_normal_form_certifies_nesting(pair):
+    # the sampling oracle never disagrees with the normal form outside the
+    # +-1e-6 band around tangency, where a double root makes both unsure
+    C1, C2 = pair
+    margin = nesting_margin(C1, C2)
+    try:
+        build_pencil(SymmetricConic.from_matrix(C1), SymmetricConic.from_matrix(C2))
+        accepted = True
+    except (NotNested, DegenerateSpectrum):
+        accepted = False
+    if margin >= 0.0:
+        assert not accepted, margin
+    elif margin < -1e-6 and spectral_gap(C1, C2) > 1e-6:
+        assert accepted, margin
 
 
 def test_member_endpoints():
