@@ -2,6 +2,9 @@
 
 build_pencil turns a nested pair (C1 outer, C2 inner) into the normal form
 M^T C1 M = diag(1,1,-1), M^T C2 M = diag(l1,l2,-l3) with l1 > l2 > l3 > 0.
+The spectrum and the chart come from one eigendecomposition C1^{-1} C2 =
+M diag(l1,l2,l3) M^{-1}: its eigenvectors v, scaled by |v^T C1 v|^{-1/2},
+are the columns of M.
 Members are nu1*C1 + nu2*C2 on the projective parameter line; the valid
 cone is nu2 > 0, nu1 + l3*nu2 > 0, plus the outer representative (1, 0).
 """
@@ -66,40 +69,31 @@ def pencil_cubic(C1: SymmetricConic, C2: SymmetricConic) -> np.ndarray:
     return coeffs
 
 
-def _solve_cubic_real(c: np.ndarray) -> np.ndarray:
-    """Real roots of c0 x^3 + c1 x^2 + c2 x + c3, trig form + Newton polish."""
-    c0, c1, c2, c3 = (float(v) for v in c)
-    if c0 == 0.0:
-        raise DegenerateSpectrum("leading coefficient vanishes")
-    p, q, r = c1 / c0, c2 / c0, c3 / c0
-    # depressed cubic t^3 + a t + b, x = t - p/3
-    a = q - p * p / 3.0
-    b = 2.0 * p**3 / 27.0 - p * q / 3.0 + r
-    if a >= 0.0:
-        # three distinct real roots require a < 0; treat as degenerate
-        raise DegenerateSpectrum("pencil cubic lacks three separated real roots")
-    m = 2.0 * math.sqrt(-a / 3.0)
-    arg = 3.0 * b / (a * m)
-    arg = min(1.0, max(-1.0, arg))
-    theta = math.acos(arg) / 3.0
-    roots = np.array([m * math.cos(theta - 2.0 * math.pi * k / 3.0) - p / 3.0 for k in range(3)])
-    for _ in range(2):
-        val = ((c0 * roots + c1) * roots + c2) * roots + c3
-        der = (3.0 * c0 * roots + 2.0 * c1) * roots + c2
-        roots = roots - np.divide(val, der, out=np.zeros(3), where=np.abs(der) > 0.0)
-    return np.sort(roots)[::-1]
-
-
-def generalized_eigenvalues(C1: SymmetricConic, C2: SymmetricConic):
-    """Roots of det(l*C1 - C2), descending; enforces l1 > l2 > l3 > 0."""
+def _spectrum(C1: SymmetricConic, C2: SymmetricConic):
+    """Eigenvalues l1 > l2 > l3 > 0 of C1^{-1} C2, the roots of
+    det(l*C1 - C2), and their eigenvectors as the columns of V."""
     validate_ellipse(C1)
     validate_ellipse(C2)
-    lam = _solve_cubic_real(pencil_cubic(C1, C2))
+    w, V = np.linalg.eig(np.linalg.solve(C1.matrix, C2.matrix))
+    if np.iscomplexobj(w):
+        # a double root comes back as a pair split only by rounding
+        if np.abs(w.imag).max() <= TOL_DEGENERATE * np.abs(w).max():
+            raise DegenerateSpectrum(f"double generalized eigenvalue: {tuple(w.real.tolist())!r}")
+        raise NotNested(f"complex generalized eigenvalues {tuple(w.tolist())!r}")
+    # sorted and the row sums below, not np.argsort and np.einsum, which
+    # would each fault in about 0.1 MiB of numpy code used nowhere else
+    order = sorted(range(3), key=w.__getitem__, reverse=True)
+    lam, V = w[order], V[:, order]
     if lam[2] <= 0.0:
         raise DegenerateSpectrum(f"nonpositive generalized eigenvalue {float(lam[2])!r}")
     if lam[0] - lam[1] < TOL_DEGENERATE * lam[0] or lam[1] - lam[2] < TOL_DEGENERATE * lam[0]:
         raise DegenerateSpectrum(f"eigenvalue gap below tolerance: {tuple(lam.tolist())!r}")
-    return float(lam[0]), float(lam[1]), float(lam[2])
+    return (float(lam[0]), float(lam[1]), float(lam[2])), V
+
+
+def generalized_eigenvalues(C1: SymmetricConic, C2: SymmetricConic):
+    """Roots of det(l*C1 - C2), descending; enforces l1 > l2 > l3 > 0."""
+    return _spectrum(C1, C2)[0]
 
 
 def pencil_eccentricity(lam) -> Modulus:
@@ -107,17 +101,6 @@ def pencil_eccentricity(lam) -> Modulus:
     if not l1 > l2 > l3 > 0.0:
         raise DegenerateSpectrum(f"eigenvalues not strictly ordered positive: {lam!r}")
     return Modulus(math.sqrt((l1 - l2) / (l1 - l3)))
-
-
-def _null_vector(A: np.ndarray) -> np.ndarray:
-    # rank-2 symmetric A: null space spanned by the largest row cross product
-    best, best_n = None, -1.0
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        v = np.cross(A[i], A[j])
-        n = float(v @ v)
-        if n > best_n:
-            best, best_n = v, n
-    return best / math.sqrt(best_n)
 
 
 def _off_diagonal(*Ds) -> float:
@@ -146,6 +129,13 @@ def _polish(M, A, B):
     return M, DA, DB
 
 
+def _close(D, T) -> bool:
+    """np.allclose(D, T, atol=1e-9 * max|D|), elementwise |D - T| <= atol +
+    1e-5 |T|; a non-finite D fails."""
+    atol = 1e-9 * float(np.abs(D).max())
+    return math.isfinite(atol) and bool((np.abs(D - T) <= atol + 1e-5 * np.abs(T)).all())
+
+
 def build_pencil(C1: SymmetricConic, C2: SymmetricConic) -> Pencil:
     """Diagonalize the nested pair and package eigenvalues and homography.
 
@@ -153,18 +143,13 @@ def build_pencil(C1: SymmetricConic, C2: SymmetricConic) -> Pencil:
     l2 Y^2 = l3 W^2, so l1 > l2 > l3 > 0 gives u^T C1 u = X^2 + Y^2 - W^2
     <= (l3/l2 - 1) W^2 < 0.
     """
-    lam = generalized_eigenvalues(C1, C2)
+    lam, V = _spectrum(C1, C2)
     M1, M2 = C1.matrix, C2.matrix
-    cols, norms = [], []
-    for l in lam:
-        v = _null_vector(l * M1 - M2)
-        n = float(v @ M1 @ v)
-        cols.append(v)
-        norms.append(n)
+    norms = (V * (M1 @ V)).sum(axis=0)
     if not (norms[0] > 0.0 and norms[1] > 0.0 and norms[2] < 0.0):
         # the C1-negative direction must belong to the smallest eigenvalue
-        raise NotNested(f"signature mismatch in diagonalization, norms {norms!r}")
-    M = np.column_stack([c / math.sqrt(abs(n)) for c, n in zip(cols, norms)])
+        raise NotNested(f"signature mismatch in diagonalization, norms {norms.tolist()!r}")
+    M = V / np.sqrt(np.abs(norms))
     # orientation normalization: m33 > 0, det(M) > 0, then a deterministic
     # sign for the first column (joint flip keeps the determinant)
     if M[2, 2] < 0.0:
@@ -176,10 +161,8 @@ def build_pencil(C1: SymmetricConic, C2: SymmetricConic) -> Pencil:
         M[:, 0] = -M[:, 0]
         M[:, 1] = -M[:, 1]
     M, D1, D2 = _polish(M, M1, M2)
-    if not (
-        np.allclose(D1, np.diag([1.0, 1.0, -1.0]), atol=1e-9 * np.abs(D1).max())
-        and np.allclose(D2, np.diag([lam[0], lam[1], -lam[2]]), atol=1e-9 * np.abs(D2).max())
-    ):
+    J, L = np.diag([1.0, 1.0, -1.0]), np.diag([lam[0], lam[1], -lam[2]])
+    if not (_close(D1, J) and _close(D2, L)):
         raise NotNested("diagonalization residual above tolerance")
     M.setflags(write=False)
     Minv = np.linalg.inv(M)

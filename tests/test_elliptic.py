@@ -43,6 +43,13 @@ def test_complete_equals_incomplete_at_half_pi():
         assert ellint_F(math.pi / 2, e) == pytest.approx(ellint_K(e), abs=1e-14)
 
 
+def test_incomplete_first_kind_where_scipy_misreports():
+    # scipy.special.ellipkinc(1.1841840469188336, 0.06674588223709507) returns
+    # K(m) = 1.5980395336099553 here; the frozen value is mpmath's ellipf
+    phi, m = 1.1841840469188336, 0.06674588223709507
+    assert ellint_F(phi, Modulus(math.sqrt(m))) == pytest.approx(1.1985296502074665, abs=1e-14)
+
+
 def test_modulus_domain():
     m = as_modulus(0.8)
     assert isinstance(m, Modulus)

@@ -157,6 +157,43 @@ def test_degenerate_spectrum():
         generalized_eigenvalues(DIAG_OUTER, DIAG_OUTER)
 
 
+@pytest.mark.parametrize("gap", [1e-8, 1e-6, 1e-4])
+def test_eigenvalues_small_gap_congruences(gap):
+    # a close top pair is a well-conditioned eigenvalue of C1^{-1} C2, though
+    # an ill-conditioned root of det(l C1 - C2)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        C1, C2, lam_ref = random_nested_pair(rng, gap=gap)
+        lam = generalized_eigenvalues(C1, C2)
+        assert np.abs(np.subtract(lam, lam_ref)).max() <= 1e-12 * lam_ref[0]
+
+
+def test_double_root_congruences_are_degenerate():
+    # congruent concentric circles have spectrum (0.5, 0.5, 0.25): a double
+    # root, which is degenerate and never a failure of nesting
+    rng = np.random.default_rng(5)
+    valid = complex_pairs = 0
+    while valid < 18:
+        S = rng.normal(size=(3, 3))
+        if abs(np.linalg.det(S)) < 0.3:
+            continue
+        C1 = SymmetricConic.from_matrix(S.T @ np.diag([1.0, 1.0, -1.0]) @ S)
+        C2 = SymmetricConic.from_matrix(S.T @ np.diag([0.5, 0.5, -0.25]) @ S)
+        try:
+            validate_ellipse(C1)
+            validate_ellipse(C2)
+        except NotAnEllipse:
+            continue
+        valid += 1
+        # eig may split the double root into a pair with a rounding-level
+        # imaginary part
+        w = np.linalg.eigvals(np.linalg.solve(C1.matrix, C2.matrix))
+        complex_pairs += np.iscomplexobj(w)
+        with pytest.raises(DegenerateSpectrum):
+            build_pencil(C1, C2)
+    assert complex_pairs >= 1
+
+
 def test_pencil_eccentricity_values():
     assert pencil_eccentricity((0.2, 0.125, 1.0 / 9.0)).e == pytest.approx(E_REF, abs=1e-13)
     # near-coincident top pair drives e to 0
