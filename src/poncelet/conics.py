@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NotAnEllipse
+from .errors import NotAnEllipse
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,3 @@ def validate_ellipse(C: SymmetricConic) -> SymmetricConic:
         raise NotAnEllipse("det_nonnegative", "conic determinant is not negative")
     return C
 
-
-def _homogeneous(z) -> np.ndarray:
-    x, y = float(z[0]), float(z[1])
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise InvalidParameter(f"point has non-finite coordinates: {z!r}")
-    return np.array([x, y, 1.0])
-
-
-def quadratic_form(C: SymmetricConic, z) -> float:
-    u = _homogeneous(z)
-    return float(u @ C.matrix @ u)

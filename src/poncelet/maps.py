@@ -12,16 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import quadratic_form
 from .elliptic import Modulus, ellint_F, ellint_K, jacobi
-from .errors import InvalidParameter, InvalidRotation, OffCircle, OffOuterConic
+from .errors import (
+    HomographySingularity,
+    InvalidParameter,
+    InvalidRotation,
+    OffCircle,
+    OffOuterConic,
+)
 from .pencil import (
     Pencil,
     PencilParam,
+    _f_of_canonical,
     _param_kind,
-    apply_homography,
     as_param,
-    f_of_nu,
 )
 
 TOL_CLOSE = 1e-7
@@ -50,23 +54,48 @@ class PolygonOrbit:
         }
 
 
+def _homography(h, norm: float, x: float, y: float):
+    """pencil.apply_homography on floats: h holds the nine entries of the
+    matrix by rows and norm its Frobenius norm; same singularity test."""
+    h11, h12, h13, h21, h22, h23, h31, h32, h33 = h
+    w = h31 * x + h32 * y + h33
+    if abs(w) < 1e-13 * norm * math.sqrt(x * x + y * y + 1.0):
+        raise HomographySingularity(f"homography denominator vanished at {(x, y)!r}")
+    return (h11 * x + h12 * y + h13) / w, (h21 * x + h22 * y + h23) / w
+
+
+def _to_chart(P: Pencil, x: float, y: float):
+    return _homography(P.Minv_entries, P.Minv_norm, x, y)
+
+
+def _from_chart(P: Pencil, X: float, Y: float):
+    return _homography(P.M_entries, P.M_norm, X, Y)
+
+
 def to_chart(P: Pencil, z) -> np.ndarray:
     """Original plane -> standardized chart where C1 is the unit circle."""
-    return apply_homography(P.Minv, z)
+    return np.array(_to_chart(P, float(z[0]), float(z[1])))
 
 
 def from_chart(P: Pencil, w) -> np.ndarray:
-    return apply_homography(P.M, w)
+    return np.array(_from_chart(P, float(w[0]), float(w[1])))
 
 
 def _require_on_outer(P: Pencil, z):
-    u2 = 1.0 + float(z[0]) ** 2 + float(z[1]) ** 2
-    if abs(quadratic_form(P.C1, z)) > _TOL_ON_CURVE * np.linalg.norm(P.C1.matrix) * u2:
+    """z as finite floats (x, y) on C1, within the relative on-curve tolerance."""
+    x, y = float(z[0]), float(z[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidParameter(f"point has non-finite coordinates: {z!r}")
+    C = P.C1
+    q = (C.c11 * x + 2.0 * (C.c12 * y + C.c13)) * x + (C.c22 * y + 2.0 * C.c23) * y + C.c33
+    if abs(q) > _TOL_ON_CURVE * P.C1_norm * (1.0 + x * x + y * y):
         raise OffOuterConic(f"point {tuple(z)!r} is not on the outer conic")
+    return x, y
 
 
 def _coefficients(e, f, inverse=False):
-    """(e^2, a1, a2, a3, a4) of the standard map against S_e^f.
+    """(e^2, a1 a4, a2 a3, a1 a2, a3 a4) from the coefficients a1..a4 of
+    the standard map against S_e^f.
 
     numpy ufuncs, so e and f may be arrays. The inverse map is the same
     kernel with a1 -> -a1 (reflection symmetry of S_e^f).
@@ -75,7 +104,8 @@ def _coefficients(e, f, inverse=False):
     a1 = 2.0 * f * np.sqrt((1.0 - f2) * (e2 - f2))
     if inverse:
         a1 = -a1
-    return e2, a1, e2 - f2 * f2, e2 + f2 * f2 - 2.0 * f2, e2 * (1.0 - 2.0 * f2) + f2 * f2
+    a2, a3, a4 = e2 - f2 * f2, e2 + f2 * f2 - 2.0 * f2, e2 * (1.0 - 2.0 * f2) + f2 * f2
+    return e2, a1 * a4, a2 * a3, a1 * a2, a3 * a4
 
 
 def _step(c, X, Y):
@@ -84,12 +114,13 @@ def _step(c, X, Y):
 
     The closed form divides the numerator below by
     den = a2^2 - a1^2 e^2 Y^2 >= a4^2 > 0, so normalising the numerator is
-    the same map.
+    the same map. The products of the a_i come from _coefficients; Python
+    multiplies left to right, so a1 * a4 * Y * root rounds as here.
     """
-    e2, a1, a2, a3, a4 = c
+    e2, a14, a23, a12, a34 = c
     root = np.sqrt(np.maximum(1.0 - e2 * Y * Y, 0.0))
-    X1 = -(a1 * a4 * Y * root + a2 * a3 * X)
-    Y1 = a1 * a2 * X * root - a3 * a4 * Y
+    X1 = -(a14 * Y * root + a23 * X)
+    Y1 = a12 * X * root - a34 * Y
     n = np.hypot(X1, Y1)
     return X1 / n, Y1 / n
 
@@ -125,9 +156,10 @@ def standard_map(e, f: float, p) -> np.ndarray:
 
 def _member_coefficients(P: Pencil, nu, inverse=False):
     nu = as_param(nu).canonical()
-    if _param_kind(P.lam, nu) == "outer":
+    kind = _param_kind(P.lam, nu)
+    if kind == "outer":
         raise InvalidParameter("the outer conic defines no tangent dynamics")
-    return _coefficients(P.e.e, f_of_nu(P, nu), inverse)
+    return _coefficients(P.e.e, _f_of_canonical(P, nu, kind), inverse)
 
 
 def poncelet_step(P: Pencil, nu, z, inverse: bool = False) -> np.ndarray:
@@ -136,9 +168,16 @@ def poncelet_step(P: Pencil, nu, z, inverse: bool = False) -> np.ndarray:
     The standard map against S_e^f(nu) seen through the chart; the limiting
     ray (f = 0) gives the conjugated half turn.
     """
-    _require_on_outer(P, z)
+    x, y = _require_on_outer(P, z)
     c = _member_coefficients(P, nu, inverse)
-    return from_chart(P, _step(c, *to_chart(P, z)))
+    X, Y = _step(c, *_to_chart(P, x, y))
+    return np.array(_from_chart(P, float(X), float(Y)))
+
+
+def _covering_chart(P: Pencil, theta: float):
+    """covering(P, theta) in the chart: (cn(4K theta), sn(4K theta))."""
+    jv = jacobi(4.0 * ellint_K(P.e) * float(theta), P.e)
+    return jv.cn, jv.sn
 
 
 def covering(P: Pencil, theta: float) -> np.ndarray:
@@ -146,8 +185,7 @@ def covering(P: Pencil, theta: float) -> np.ndarray:
 
     Period 1; every P_nu becomes the shift theta -> theta + rho(nu).
     """
-    jv = jacobi(4.0 * ellint_K(P.e) * float(theta), P.e)
-    return from_chart(P, (jv.cn, jv.sn))
+    return np.array(_from_chart(P, *_covering_chart(P, theta)))
 
 
 def rho_from_spectrum(lam, nu) -> float:
@@ -196,9 +234,8 @@ def symmetry_flow(P: Pencil, t: float, z) -> np.ndarray:
 
     Commutes with every P_nu and closes orbits onto translated orbits.
     """
-    _require_on_outer(P, z)
-    w = to_chart(P, z)
-    phi = math.atan2(w[1], w[0])
+    X, Y = _to_chart(P, *_require_on_outer(P, z))
+    phi = math.atan2(Y, X)
     theta = ellint_F(phi, P.e) / (4.0 * ellint_K(P.e))
     return covering(P, theta + float(t))
 
@@ -209,7 +246,7 @@ def estimate_rotation(P: Pencil, nu, n: int = 10000) -> float:
     n = int(n)
     if n < 100:
         raise InvalidParameter(f"need at least 100 steps, got {n!r}")
-    return float(_winding(c, *to_chart(P, covering(P, 0.041)), n))
+    return float(_winding(c, *_covering_chart(P, 0.041), n))
 
 
 def _chart_orbit(P: Pencil, z0, ws, winding, residual, rho) -> PolygonOrbit:
@@ -230,13 +267,13 @@ def _chart_orbit(P: Pencil, z0, ws, winding, residual, rho) -> PolygonOrbit:
 def polygon(P: Pencil, nu, z0, max_steps: int = 10000) -> PolygonOrbit:
     """Iterate P_nu from z0 until first return within TOL_CLOSE (standard
     chart) or max_steps; winding = round(steps * rho)."""
-    _require_on_outer(P, z0)
+    x0, y0 = _require_on_outer(P, z0)
     max_steps = int(max_steps)
     if max_steps < 1:
         raise InvalidParameter(f"need at least one step, got {max_steps!r}")
     rho = rho_of_nu(P, nu)
     c = _member_coefficients(P, nu)
-    X0, Y0 = X, Y = to_chart(P, z0)
+    X0, Y0 = X, Y = _to_chart(P, x0, y0)
     ws = []
     for _ in range(max_steps):
         X, Y = _step(c, X, Y)
@@ -249,14 +286,14 @@ def polygon(P: Pencil, nu, z0, max_steps: int = 10000) -> PolygonOrbit:
 
 def run_composition(P: Pencil, schedule, z0) -> PolygonOrbit:
     """Apply (P_nu)^k blocks in order; rotation numbers add as sum(k rho)."""
-    _require_on_outer(P, z0)
+    x0, y0 = _require_on_outer(P, z0)
     total_rho = 0.0
     blocks = []
     for nu, k in schedule:
         k = int(k)
         blocks.append((_member_coefficients(P, nu, inverse=k < 0), abs(k)))
         total_rho += k * rho_of_nu(P, nu)
-    X0, Y0 = X, Y = to_chart(P, z0)
+    X0, Y0 = X, Y = _to_chart(P, x0, y0)
     ws = []
     for c, k in blocks:
         for _ in range(k):

@@ -49,12 +49,21 @@ def as_param(nu) -> PencilParam:
 
 @dataclass(frozen=True, eq=False)
 class Pencil:
+    """A built pencil. M_entries and Minv_entries are the nine entries of M
+    and Minv by rows, and the *_norm fields Frobenius norms, all as floats,
+    so that the chart maps and the on-C1 test need no numpy per point."""
+
     C1: SymmetricConic
     C2: SymmetricConic
     lam: tuple
     M: np.ndarray = field(repr=False)
     Minv: np.ndarray = field(repr=False)
     e: Modulus
+    M_entries: tuple = field(repr=False)
+    Minv_entries: tuple = field(repr=False)
+    M_norm: float = field(repr=False)
+    Minv_norm: float = field(repr=False)
+    C1_norm: float = field(repr=False)
 
 
 def pencil_cubic(C1: SymmetricConic, C2: SymmetricConic) -> np.ndarray:
@@ -167,7 +176,12 @@ def build_pencil(C1: SymmetricConic, C2: SymmetricConic) -> Pencil:
     M.setflags(write=False)
     Minv = np.linalg.inv(M)
     Minv.setflags(write=False)
-    return Pencil(C1=C1, C2=C2, lam=lam, M=M, Minv=Minv, e=pencil_eccentricity(lam))
+    return Pencil(
+        C1=C1, C2=C2, lam=lam, M=M, Minv=Minv, e=pencil_eccentricity(lam),
+        M_entries=tuple(M.ravel().tolist()), Minv_entries=tuple(Minv.ravel().tolist()),
+        M_norm=float(np.linalg.norm(M)), Minv_norm=float(np.linalg.norm(Minv)),
+        C1_norm=float(np.linalg.norm(M1)),
+    )
 
 
 def apply_homography(M, p) -> np.ndarray:
@@ -181,8 +195,8 @@ def apply_homography(M, p) -> np.ndarray:
 
 
 def _param_kind(lam, nu: PencilParam) -> str:
-    """'outer' for (1,0), 'limit' on the boundary ray, 'member' inside."""
-    nu = nu.canonical()
+    """'outer' for (1,0), 'limit' on the boundary ray, 'member' inside;
+    nu must be canonical."""
     if nu.nu2 == 0.0:
         if nu.nu1 > 0.0:
             return "outer"
@@ -212,9 +226,9 @@ def member(P: Pencil, nu) -> SymmetricConic:
     return validate_ellipse(C)
 
 
-def member_factor(lam, nu) -> float:
-    """sqrt((nu1 + l3 nu2)/(nu1 + l2 nu2)), the eccentricity scaling of nu."""
-    nu = as_param(nu).canonical()
+def member_factor(lam, nu: PencilParam) -> float:
+    """sqrt((nu1 + l3 nu2)/(nu1 + l2 nu2)), the eccentricity scaling of the
+    canonical nu."""
     return math.sqrt((nu.nu1 + lam[2] * nu.nu2) / (nu.nu1 + lam[1] * nu.nu2))
 
 
@@ -232,10 +246,11 @@ def relative_eccentricity(P: Pencil, nu, mu) -> Modulus:
 def f_of_nu(P: Pencil, nu) -> float:
     """Standard-pencil parameter of member nu: C_nu maps onto S_e^{f(nu)}."""
     nu = as_param(nu).canonical()
-    kind = _param_kind(P.lam, nu)
-    if kind == "limit":
-        return 0.0
-    return member_factor(P.lam, nu) * P.e.e
+    return _f_of_canonical(P, nu, _param_kind(P.lam, nu))
+
+
+def _f_of_canonical(P: Pencil, nu: PencilParam, kind: str) -> float:
+    return 0.0 if kind == "limit" else member_factor(P.lam, nu) * P.e.e
 
 
 def dual_formula(lam, nu1, nu2):

@@ -10,10 +10,9 @@ import math
 
 import numpy as np
 
-from .maps import from_chart
 from .pencil import Pencil, as_param, _param_kind
 
-_FMT = "{:.8g}"
+_FMT = "%.8g"
 
 
 def member_polyline(P: Pencil, nu, segments: int = 256) -> np.ndarray:
@@ -21,24 +20,25 @@ def member_polyline(P: Pencil, nu, segments: int = 256) -> np.ndarray:
 
     In the diagonalizing chart the member is the origin-centered ellipse
     (nu1 + l1 nu2) x^2 + (nu1 + l2 nu2) y^2 = nu1 + l3 nu2, so it is sampled
-    there and pushed forward. The outer ray (1, 0) gives the unit circle.
+    there and pushed forward with one product by M. The outer ray (1, 0)
+    gives the unit circle.
     """
     nu = as_param(nu).canonical()
     _param_kind(P.lam, nu)  # reject parameters outside the closed cone
     l1, l2, l3 = P.lam
-    g = nu.nu1 + l3 * nu.nu2
+    g = max(nu.nu1 + l3 * nu.nu2, 0.0)  # the limiting ray can round below 0
     a = math.sqrt(g / (nu.nu1 + l1 * nu.nu2))
     b = math.sqrt(g / (nu.nu1 + l2 * nu.nu2))
     t = np.linspace(0.0, 2.0 * math.pi, segments + 1)
-    pts = np.array([from_chart(P, (a * math.cos(s), b * math.sin(s))) for s in t])
+    u = np.column_stack([a * np.cos(t), b * np.sin(t), np.ones_like(t)]) @ P.M.T
+    pts = u[:, :2] / u[:, 2:]
     pts[-1] = pts[0]
     return pts
 
 
 def _points_attr(pts) -> str:
-    return " ".join(
-        _FMT.format(x) + "," + _FMT.format(-y) for x, y in np.asarray(pts, dtype=float)
-    )
+    pair = _FMT + "," + _FMT
+    return " ".join(pair % (x, -y) for x, y in np.asarray(pts, dtype=float).tolist())
 
 
 def svg_figure(P: Pencil, members=((0.0, 1.0),), orbit=None, segments: int = 256) -> str:
@@ -63,9 +63,9 @@ def svg_figure(P: Pencil, members=((0.0, 1.0),), orbit=None, segments: int = 256
 
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="{} {} {} {}">'.format(
-            *(_FMT.format(v) for v in (x0, y0, w, h))
+            *(_FMT % v for v in (x0, y0, w, h))
         ),
-        '<g fill="none" stroke-width="{}">'.format(_FMT.format(stroke)),
+        '<g fill="none" stroke-width="{}">'.format(_FMT % stroke),
     ]
     for k, pts in enumerate(conics):
         color = "#000000" if k == 0 else "#777777"

@@ -4,8 +4,9 @@ None of these call into the package: the elliptic integrals go through
 scipy.integrate.quad (QUADPACK adaptive Gauss-Kronrod) on the defining
 integrands, tangent lines through elementary circle geometry or through the
 dual conic, the Poncelet step through those tangent lines, the circle
-pencil spectrum through the quadratic formula, and nesting by sampling the
-inner conic from its own centre and axes. Conics are plain symmetric
+pencil spectrum through the quadratic formula, nesting by sampling the
+inner conic from its own centre and axes, and SVG polylines one point at a
+time. Conics are plain symmetric
 3x3 matrices of u^T C u with u = (x, y, 1). Test modules import from here;
 the library must agree with these within the tolerances stated in the tests.
 """
@@ -303,3 +304,58 @@ def spectral_gap(C1, C2):
     lam = scipy.linalg.eigvals(np.asarray(C2, dtype=float), np.asarray(C1, dtype=float))
     d = [abs(lam[i] - lam[j]) for i in range(3) for j in range(i + 1, 3)]
     return min(d) / max(abs(lam))
+
+
+# -- homographies and SVG figures, one point at a time --------------------------
+
+
+def homography_rounding_scale(H, pts):
+    """|H| |u| (1 + |p|) / |w| at each row (x, y) of pts, with u = (x, y, 1)
+    and H u = w (p, 1): the size by which the rounding of H u can move the
+    image p, so two evaluations of p that round differently agree within a
+    few eps times it."""
+    H = np.asarray(H, dtype=float)
+    u = np.column_stack([np.asarray(pts, dtype=float), np.ones(len(pts))])
+    Hu = u @ H.T
+    p = Hu[:, :2] / Hu[:, 2:]
+    return (np.linalg.norm(H) * np.linalg.norm(u, axis=1) * (1.0 + np.linalg.norm(p, axis=1))
+            / np.abs(Hu[:, 2]))
+
+
+def member_polyline_pointwise(M, lam, nu, segments=256):
+    """Closed polyline on the member nu of the pencil with chart M and
+    spectrum lam: in the chart the member is the ellipse
+    (nu1 + l1 nu2) x^2 + (nu1 + l2 nu2) y^2 = nu1 + l3 nu2, and each sample
+    (a cos s, b sin s) is pushed through M on its own."""
+    M = np.asarray(M, dtype=float)
+    n = math.hypot(nu[0], nu[1])
+    nu1, nu2 = nu[0] / n, nu[1] / n
+    l1, l2, l3 = lam
+    g = max(nu1 + l3 * nu2, 0.0)
+    a, b = math.sqrt(g / (nu1 + l1 * nu2)), math.sqrt(g / (nu1 + l2 * nu2))
+    pts = []
+    for s in np.linspace(0.0, 2.0 * math.pi, segments + 1):
+        u = M @ np.array([a * math.cos(s), b * math.sin(s), 1.0])
+        pts.append(u[:2] / u[2])
+    pts[-1] = pts[0]
+    return np.array(pts)
+
+
+def svg_document(polylines, orbit=None):
+    """Stroke-only SVG text with each coordinate formatted on its own by
+    str.format: the first polyline black, the others grey, the orbit blue,
+    y negated, and a viewBox that fits everything with a 5% margin."""
+    fmt = "{:.8g}".format
+    drawn = list(polylines) + ([np.asarray(orbit, dtype=float)] if orbit is not None else [])
+    allpts = np.vstack(drawn)
+    (xmin, ymin), (xmax, ymax) = allpts.min(axis=0), allpts.max(axis=0)
+    margin = 0.05 * max(xmax - xmin, ymax - ymin)
+    w, h = xmax - xmin + 2.0 * margin, ymax - ymin + 2.0 * margin
+    box = " ".join(fmt(v) for v in (xmin - margin, -(ymax + margin), w, h))
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{box}">',
+             f'<g fill="none" stroke-width="{fmt(0.004 * max(w, h))}">']
+    colours = ["#000000"] + ["#777777"] * (len(polylines) - 1) + ["#1f77b4"]
+    for colour, pts in zip(colours, drawn):
+        attr = " ".join(fmt(x) + "," + fmt(-y) for x, y in pts)
+        lines.append(f'<polyline stroke="{colour}" points="{attr}"/>')
+    return "\n".join(lines + ["</g>", "</svg>"]) + "\n"

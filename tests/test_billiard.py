@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import winding_rotation
 from poncelet.billiard import (
@@ -170,6 +172,36 @@ def test_gauss_transform():
     for _ in range(3):
         p = gauss_transform(p)
         assert rotation_confocal(p) == pytest.approx(rho0, abs=1e-9)
+
+
+def rho_rounding_scale(e, f):
+    """eps e sqrt(1 - f^2) / (f (1 - e^2)), a bound on how far rounding
+    moves the closed-form rotation number on Delta. That is
+    rho_from_spectrum on the confocal spectrum, F(asin sqrt(1 - l3/l1)) / 2K
+    with l3/l1 = f^2 (1 - e^2) / (e^2 (1 - f^2)); asin near pi/2 amplifies
+    the rounding of 1 - l3/l1 by sqrt(l1/l3), and the slope of F is at
+    most 1/k' = 1/sqrt(1 - e^2)."""
+    return 2.0**-52 * e * math.sqrt(1.0 - f * f) / (f * (1.0 - e * e))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(e=st.floats(0.001, 0.999), q=st.floats(0.001, 0.999))
+def test_gauss_and_half_rotation_identities_over_delta(e, q):
+    # Tolerances are 10 rounding scales of the rotation numbers involved.
+    # Over 20,000 seeded draws of (e, q) uniform on [0.001, 0.999]^2 the
+    # worst errors were 5.4e-11 (Gauss) and 4.7e-14 (halving), at most 5.8
+    # and 0.33 scales. A corner such as (e, q) = (0.999, 0.001), which
+    # hypothesis draws, reaches 4.8e-9 (G(e) = 1 - 1.3e-7 there), 0.011
+    # scales, so a fixed tolerance taken from the uniform draws fails there
+    f = q * e
+    rho = rotation_confocal(e, f)
+    g = gauss_transform(e, f)
+    tol = 10.0 * (rho_rounding_scale(e, f) + rho_rounding_scale(g.e.e, g.f.e))
+    assert abs(rotation_confocal(g) - rho) <= tol
+    f1, f2 = half_rotation(e, f)
+    tol = 10.0 * sum(rho_rounding_scale(e, fk) for fk in (f, f1.e, f2.e))
+    assert abs(rotation_confocal(e, f1) - rho / 2) <= tol
+    assert abs(rotation_confocal(e, f2) - (0.5 - rho / 2)) <= tol
 
 
 def test_confocal_cover_anchors():

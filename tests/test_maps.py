@@ -7,9 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import PointClass, adjugate, classify_point, geometric_step, spectral_gap
+from oracles import (
+    PointClass,
+    adjugate,
+    classify_point,
+    geometric_step,
+    homography_rounding_scale,
+    spectral_gap,
+)
 from poncelet.conics import SymmetricConic, confocal_ellipse
 from poncelet.errors import (
+    HomographySingularity,
     InvalidParameter,
     InvalidRotation,
     OffCircle,
@@ -17,6 +25,7 @@ from poncelet.errors import (
 )
 from poncelet.maps import (
     _coefficients,
+    _require_on_outer,
     _step,
     covering,
     estimate_rotation,
@@ -31,6 +40,7 @@ from poncelet.maps import (
     to_chart,
 )
 from poncelet.pencil import (
+    apply_homography,
     build_pencil,
     dual,
     f_of_nu,
@@ -189,6 +199,136 @@ def test_kernel_does_not_drift_off_circle():
     p = np.array([1.0, 0.0])
     for _ in range(10_000):
         p = standard_map(e, f, p)
+
+
+def unexpanded_step(e, f, X, Y, inverse=False):
+    """The chord step with a1..a4 written out and multiplied in place."""
+    e2, f2 = e * e, f * f
+    a1 = 2.0 * f * np.sqrt((1.0 - f2) * (e2 - f2))
+    if inverse:
+        a1 = -a1
+    a2, a3, a4 = e2 - f2 * f2, e2 + f2 * f2 - 2.0 * f2, e2 * (1.0 - 2.0 * f2) + f2 * f2
+    root = np.sqrt(np.maximum(1.0 - e2 * Y * Y, 0.0))
+    X1 = -(a1 * a4 * Y * root + a2 * a3 * X)
+    Y1 = a1 * a2 * X * root - a3 * a4 * Y
+    n = np.hypot(X1, Y1)
+    return X1 / n, Y1 / n
+
+
+def test_step_products_match_unexpanded_kernel():
+    # _coefficients hands _step the products a1 a4, a2 a3, a1 a2, a3 a4, and
+    # Python multiplies left to right, so orbits are bit-identical to the
+    # unexpanded expression, on arrays and on scalars alike
+    rng = np.random.default_rng(13)
+    e = rng.uniform(0.05, 0.999, 400)
+    f = rng.uniform(0.0, 1.0, 400) * e
+    t = rng.uniform(0.0, 2.0 * math.pi, 400)
+    for inverse in (False, True):
+        c = _coefficients(e, f, inverse)
+        X, Y = Xr, Yr = np.cos(t), np.sin(t)
+        for _ in range(50):
+            X, Y = _step(c, X, Y)
+            Xr, Yr = unexpanded_step(e, f, Xr, Yr, inverse)
+            assert np.array_equal(X, Xr) and np.array_equal(Y, Yr)
+        for k in range(20):
+            ck = _coefficients(float(e[k]), float(f[k]), inverse)
+            x, y = math.cos(t[k]), math.sin(t[k])
+            for _ in range(50):
+                (x, y), ref = _step(ck, x, y), unexpanded_step(float(e[k]), float(f[k]), x, y, inverse)
+                assert (x, y) == ref
+
+
+def chart_test_pencils(rng, n):
+    return [diag_pencil(), confocal_pair_pencil()] + [
+        build_pencil(*random_nested_pair(rng)[:2]) for _ in range(n)
+    ]
+
+
+def test_chart_maps_match_apply_homography():
+    # the float chart maps round differently from numpy's product; they
+    # agree within 1e-15 of the homography's rounding scale, and exactly on
+    # the two fixture pencils
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for k, P in enumerate(chart_test_pencils(rng, 10)):
+        ws = rng.uniform(-1.5, 1.5, size=(50, 2))
+        zs = np.array([apply_homography(P.M, w) for w in ws])
+        for H, chart_map, pts in ((P.M, from_chart, ws), (P.Minv, to_chart, zs)):
+            for p, scale in zip(pts, homography_rounding_scale(H, pts)):
+                got, ref = chart_map(P, p), apply_homography(H, p)
+                assert type(got) is np.ndarray and got.shape == (2,)
+                if k < 2:
+                    assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+                worst = max(worst, float(np.linalg.norm(got - ref)) / scale)
+    assert worst < 1e-15
+
+
+def test_chart_maps_raise_where_apply_homography_does():
+    rng = np.random.default_rng(23)
+    for P in chart_test_pencils(rng, 10)[2:]:
+        for H, chart_map in ((P.M, from_chart), (P.Minv, to_chart)):
+            h31, h32, h33 = H[2]
+            for x in (-2.0, 0.3, 5.0):
+                # on the line that H sends to infinity, then moved off it
+                # until the denominator is s |H| |u|, either side of 1e-13
+                y = -(h33 + h31 * x) / h32
+                size = np.linalg.norm(H) * math.sqrt(x * x + y * y + 1.0) / h32
+                for s in (0.0, 1e-14):
+                    with pytest.raises(HomographySingularity):
+                        apply_homography(H, (x, y + s * size))
+                    with pytest.raises(HomographySingularity):
+                        chart_map(P, (x, y + s * size))
+                for s in (1e-12, 0.1):
+                    q = (x, y + s * size)
+                    err = np.linalg.norm(chart_map(P, q) - apply_homography(H, q))
+                    assert err <= 1e-15 * homography_rounding_scale(H, [q])[0]
+
+
+ON_OUTER_CALLS = {
+    "poncelet_step": lambda P, nu, z: poncelet_step(P, nu, z),
+    "polygon": lambda P, nu, z: polygon(P, nu, z, max_steps=3),
+    "run_composition": lambda P, nu, z: run_composition(P, [(nu, 2), (nu, -1)], z),
+    "symmetry_flow": lambda P, nu, z: symmetry_flow(P, 0.1, z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ON_OUTER_CALLS))
+def test_float_chart_path_guards(name):
+    call = ON_OUTER_CALLS[name]
+    for P in chart_test_pencils(np.random.default_rng(3), 2):
+        nu, z = invert_rho(P, 0.3), covering(P, 0.2)
+        call(P, nu, z)
+        X, Y = to_chart(P, z)
+        for r in (0.5, 1.0 + 1e-6, 1.5):
+            with pytest.raises(OffOuterConic):
+                call(P, nu, from_chart(P, (r * X, r * Y)))
+        for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)):
+            with pytest.raises(InvalidParameter):
+                call(P, nu, bad)
+        if name != "symmetry_flow":
+            for outer in ((1.0, 0.0), (2.5, 0.0)):
+                with pytest.raises(InvalidParameter):
+                    call(P, outer, z)
+
+
+def test_on_outer_tolerance_matches_matrix_form():
+    # the expanded form accepts the points the matrix form u^T C1 u accepts,
+    # with the same tolerance relative to |C1| |u|^2
+    rng = np.random.default_rng(29)
+    for P in chart_test_pencils(rng, 6):
+        scale = np.linalg.norm(P.C1.matrix)
+        for _ in range(10):
+            X, Y = to_chart(P, covering(P, rng.uniform()))
+            for k in range(4, 15):
+                for r in (1.0 - 10.0**-k, 1.0 + 10.0**-k):
+                    z = from_chart(P, (r * X, r * Y))
+                    u = np.array([z[0], z[1], 1.0])
+                    accepted = abs(u @ P.C1.matrix @ u) <= 1e-9 * scale * (u @ u)
+                    try:
+                        assert _require_on_outer(P, z) == (z[0], z[1])
+                        assert accepted
+                    except OffOuterConic:
+                        assert not accepted
 
 
 def test_covering_basics():
