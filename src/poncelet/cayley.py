@@ -18,7 +18,7 @@ from .errors import (
     UnknownSet,
 )
 from .maps import rho_from_spectrum, rho_of_nu
-from .pencil import Pencil, pencil_cubic
+from .pencil import Pencil
 
 
 @dataclass(frozen=True)
@@ -28,21 +28,31 @@ class SqrtSeries:
     alpha: tuple
 
 
+def _unit_series(lam, order: int) -> list:
+    """Taylor coefficients a_0..a_order of sqrt((1 - r1 t)(1 - r2 t)(1 - t)),
+    r1 = l3/l1, r2 = l3/l2: the square root of det(l*C1 - C2)/det(-C2) at
+    l = l3 t, since the normal form makes det(l*C1 - C2) proportional to
+    (l1 - l)(l2 - l)(l3 - l)."""
+    l1, l2, l3 = lam
+    r1, r2 = l3 / l1, l3 / l2
+    c = [1.0, -(1.0 + r1 + r2), r1 + r2 + r1 * r2, -r1 * r2] + [0.0] * order
+    a = [1.0]
+    for n in range(1, order + 1):
+        a.append(0.5 * (c[n] - math.fsum(a[i] * a[n - i] for i in range(1, n))))
+    return a
+
+
 def sqrt_series(P: Pencil, order: int) -> SqrtSeries:
-    """Formal square root of the pencil cubic, seeded at sqrt(det(-C2))."""
+    """Formal square root of the pencil cubic, seeded at sqrt(det(-C2)):
+    alpha_k = sqrt(det(-C2)) a_k / l3^k with a_k from the spectrum."""
     order = int(order)
     if order < 2:
         raise InvalidParameter(f"need order >= 2, got {order!r}")
-    b0, b1, b2, b3 = (float(v) for v in pencil_cubic(P.C1, P.C2))
-    c = [b3, b2, b1, b0]  # ascending powers of l
-    if c[0] <= 0.0:
-        raise BadSignature(f"constant term det(-C2) = {c[0]!r} is not positive")
-    alpha = [math.sqrt(c[0])]
-    for n in range(1, order + 1):
-        cn = c[n] if n < 4 else 0.0
-        conv = math.fsum(alpha[i] * alpha[n - i] for i in range(1, n))
-        alpha.append((cn - conv) / (2.0 * alpha[0]))
-    return SqrtSeries(alpha=tuple(alpha))
+    c0 = -float(np.linalg.det(P.C2.matrix))
+    if c0 <= 0.0:
+        raise BadSignature(f"constant term det(-C2) = {c0!r} is not positive")
+    s, l3 = math.sqrt(c0), P.lam[2]
+    return SqrtSeries(alpha=tuple(s * a / l3**k for k, a in enumerate(_unit_series(P.lam, order))))
 
 
 def _hankel_det(a, start: int, m: int) -> float:
@@ -67,22 +77,21 @@ def cayley_condition(P: Pencil, N: int) -> float:
     the (m-1) x (m-1) matrix of alpha_3..alpha_{2m-1}. Vanishes iff the pair
     admits rotation number k/N for some k.
 
-    Normalization happens in three layers, because the raw determinant is
-    useless as a residual: the alpha_k grow like lam3^-k (the series
-    converges up to the smallest eigenvalue), so the series is first made
-    dimensionless via l -> lam3*l and division by alpha_0; each determinant
-    is divided by the product of its row norms; and since Hankel
-    determinants of analytic coefficient sequences shrink super-exponentially
-    with size even far from a porism, the result is divided by the same-size
-    determinant at the next offset, which shares that structural decay but
-    not the porism zero.
+    The determinants are taken on the dimensionless series a_k of
+    sqrt((1 - r1 t)(1 - r2 t)(1 - t)), which the spectrum fixes alone; the
+    alpha_k themselves grow like lam3^-k, since the series converges up to
+    the smallest eigenvalue. Two normalizations follow, because the raw
+    determinant is useless as a residual: each determinant is divided by
+    the product of its row norms; and since Hankel determinants of analytic
+    coefficient sequences shrink super-exponentially with size even far
+    from a porism, the result is divided by the same-size determinant at
+    the next offset, which shares that structural decay but not the porism
+    zero.
     """
     N = int(N)
     if N < 3:
         raise InvalidPeriod(f"need N >= 3, got {N!r}")
-    alpha = sqrt_series(P, N).alpha
-    l3 = P.lam[2]
-    a = [alpha[k] * l3**k / alpha[0] for k in range(N + 1)]
+    a = _unit_series(P.lam, N)
     start, m = (2, (N - 1) // 2) if N % 2 else (3, N // 2 - 1)
     det = _hankel_det(a, start, m)
     ref = _hankel_det(a, start + 1, m)

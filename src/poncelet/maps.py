@@ -195,8 +195,9 @@ def rho_from_spectrum(lam, nu) -> float:
     nu = as_param(nu).canonical()
     if nu.nu2 == 0.0:
         return 0.0
-    s2 = (l1 - l3) * nu.nu2 / (l1 * nu.nu2 + nu.nu1)
-    omega = math.asin(math.sqrt(min(max(s2, 0.0), 1.0)))
+    # sin^2 : cos^2 of omega is (l1 - l3) nu2 : nu1 + l3 nu2, cancellation-free near pi/2
+    s2, c2 = (l1 - l3) * nu.nu2, nu.nu1 + l3 * nu.nu2
+    omega = math.atan2(math.sqrt(max(s2, 0.0)), math.sqrt(max(c2, 0.0)))
     e = Modulus(math.sqrt(max((l1 - l2) / (l1 - l3), 0.0)))
     return ellint_F(omega, e) / (2.0 * ellint_K(e))
 

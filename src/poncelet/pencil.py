@@ -66,18 +66,6 @@ class Pencil:
     C1_norm: float = field(repr=False)
 
 
-def pencil_cubic(C1: SymmetricConic, C2: SymmetricConic) -> np.ndarray:
-    """Coefficients (b0, b1, b2, b3) of det(l*C1 - C2) in descending powers."""
-    A, B = C1.matrix, -C2.matrix
-    coeffs = np.zeros(4)
-    # det is multilinear in columns: sum over which columns come from A
-    for mask in range(8):
-        cols = [A[:, j] if (mask >> j) & 1 else B[:, j] for j in range(3)]
-        k = bin(mask).count("1")
-        coeffs[3 - k] += np.linalg.det(np.column_stack(cols))
-    return coeffs
-
-
 def _spectrum(C1: SymmetricConic, C2: SymmetricConic):
     """Eigenvalues l1 > l2 > l3 > 0 of C1^{-1} C2, the roots of
     det(l*C1 - C2), and their eigenvectors as the columns of V."""

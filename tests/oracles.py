@@ -4,7 +4,8 @@ None of these call into the package: the elliptic integrals go through
 scipy.integrate.quad (QUADPACK adaptive Gauss-Kronrod) on the defining
 integrands, tangent lines through elementary circle geometry or through the
 dual conic, the Poncelet step through those tangent lines, the circle
-pencil spectrum through the quadratic formula, nesting by sampling the
+pencil spectrum through the quadratic formula, the pencil cubic
+det(l*C1 - C2) by multilinear expansion, nesting by sampling the
 inner conic from its own centre and axes, and SVG polylines one point at a
 time. Conics are plain symmetric
 3x3 matrices of u^T C u with u = (x, y, 1). Test modules import from here;
@@ -117,6 +118,18 @@ def circle_pencil_eigs(R, r, a):
     lam2 = (b + s) / (2.0 * R * R)
     lam3 = (b - s) / (2.0 * R * R)
     return 1.0, lam2, lam3
+
+
+def pencil_cubic(C1, C2):
+    """Coefficients (b0, b1, b2, b3) of det(l*C1 - C2) in descending powers."""
+    A, B = np.asarray(C1, dtype=float), -np.asarray(C2, dtype=float)
+    coeffs = np.zeros(4)
+    # det is multilinear in columns: sum over which columns come from A
+    for mask in range(8):
+        cols = [A[:, j] if (mask >> j) & 1 else B[:, j] for j in range(3)]
+        k = bin(mask).count("1")
+        coeffs[3 - k] += np.linalg.det(np.column_stack(cols))
+    return coeffs
 
 
 def winding_rotation(phis, n):

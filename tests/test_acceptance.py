@@ -24,14 +24,11 @@ from poncelet import (
     confocal_poristic_residual,
     covering,
     dual,
-    ellint_F,
     ellint_K,
     f_of_nu,
     gauss_transform,
     half_rotation,
     invert_rho,
-    jacobi,
-    jacobi_epsilon,
     lambda_porism,
     member,
     nesting_order,
@@ -45,10 +42,10 @@ from poncelet import (
     standard_map,
     unit_circle,
 )
-from oracles import geometric_step
+from oracles import geometric_step, pencil_cubic
 from poncelet.billiard import boundary_point
 from poncelet.maps import from_chart, to_chart
-from poncelet.pencil import pencil_cubic
+from poncelet.verify import run_suite
 
 LAM = (0.2, 0.125, 1.0 / 9.0)
 
@@ -189,7 +186,7 @@ def test_criterion_06_cayley_classification():
             if abs(lambda_porism(l1, l2, l3, "1/3")) < 1e-3:
                 continue
         Ps = spectrum_pencil((l1, l2, l3))
-        _, b1, b2, b3 = pencil_cubic(Ps.C1, Ps.C2)
+        _, b1, b2, b3 = pencil_cubic(Ps.C1.matrix, Ps.C2.matrix)
         small_cay = abs(cayley_condition(Ps, 3)) < 1e-8
         small_disc = abs(b2 * b2 - 4.0 * b1 * b3) < 1e-6
         small_lam = abs(lambda_porism(l1, l2, l3, "1/3")) < 1e-6
@@ -257,28 +254,12 @@ def test_criterion_08_bicentric_formulas():
 
 
 def test_criterion_09_elliptic_identities():
+    # the identities and tolerances live in `poncelet verify --suite elliptic`
     t0 = time.perf_counter()
-    sq = dn = rt = lan = der = 0.0
-    for e in np.linspace(0.05, 0.95, 19):
-        e = float(e)
-        K = ellint_K(e)
-        for u in np.linspace(-1.8 * K, 1.8 * K, 13):
-            u = float(u)
-            jv = jacobi(u, e)
-            sq = max(sq, abs(jv.sn**2 + jv.cn**2 - 1.0))
-            dn = max(dn, abs(jv.dn**2 + e * e * jv.sn**2 - 1.0))
-            rt = max(rt, abs(ellint_F(jv.am, e) - u))
-            h = 1e-5
-            diff = (jacobi_epsilon(u + h, e) - jacobi_epsilon(u - h, e)) / (2.0 * h)
-            der = max(der, abs(diff - jv.dn**2))
-        ep = math.sqrt(1.0 - e * e)
-        k1 = (1.0 - ep) / (1.0 + ep)
-        lan = max(lan, abs(K - (1.0 + k1) * ellint_K(k1)))
-    assert sq < 1e-12
-    assert dn < 1e-12
-    assert rt < 1e-10
-    assert lan < 1e-12
-    assert der < 1e-8
+    report = run_suite("elliptic")
+    assert report["checks"]
+    for c in report["checks"]:
+        assert c["pass"], f"{c['name']}: residual {c['residual']!r} against tol {c['tol']!r}"
     assert time.perf_counter() - t0 < 5.0
 
 

