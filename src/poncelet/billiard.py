@@ -13,14 +13,13 @@ import numpy as np
 
 from .elliptic import Modulus, as_modulus, ellint_K, jacobi
 from .errors import (
-    InvalidParameter,
     InvalidRotation,
     NoIntersection,
     NotInDelta,
     NotInUPlus,
     OutOfAnnulus,
 )
-from .maps import _coefficients, _winding, rho_from_spectrum
+from .maps import _coefficients, _step_count, _winding, rho_from_spectrum
 
 
 @dataclass(frozen=True)
@@ -176,9 +175,7 @@ def rotation_estimate(e, f, steps: int = 10000):
     f = np.asarray(f, dtype=float)
     if not np.all((0.0 < f) & (f < e) & (e < 1.0)):
         raise NotInDelta("rotation estimate needs 0 < f < e < 1 elementwise")
-    steps = int(steps)
-    if steps < 1:
-        raise InvalidParameter(f"need at least one step, got {steps!r}")
+    steps = _step_count(steps, 1)
     e, f = np.broadcast_arrays(e, f)
     out = _winding(_coefficients(e, f), 0.0, -1.0, steps)
     return float(out) if np.ndim(out) == 0 else out

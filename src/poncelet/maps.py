@@ -94,18 +94,25 @@ def _require_on_outer(P: Pencil, z):
 
 
 def _coefficients(e, f, inverse=False):
-    """(e^2, a1 a4, a2 a3, a1 a2, a3 a4) from the coefficients a1..a4 of
-    the standard map against S_e^f.
+    """(e^2, a1 a4, a2 a3, a1 a2, a3 a4, sqrt, maximum, hypot) from the
+    coefficients a1..a4 of the standard map against S_e^f.
 
-    numpy ufuncs, so e and f may be arrays. The inverse map is the same
-    kernel with a1 -> -a1 (reflection symmetry of S_e^f).
+    Float e and f (np.float64 included) take the math primitives and give
+    Python floats; anything else takes numpy ufuncs, so e and f may be
+    arrays. _step uses the primitives handed over here. The inverse map is
+    the same kernel with a1 -> -a1 (reflection symmetry of S_e^f).
     """
+    if isinstance(e, float) and isinstance(f, float):
+        e, f = float(e), float(f)
+        sqrt, maximum, hypot = math.sqrt, max, math.hypot
+    else:
+        sqrt, maximum, hypot = np.sqrt, np.maximum, np.hypot
     e2, f2 = e * e, f * f
-    a1 = 2.0 * f * np.sqrt((1.0 - f2) * (e2 - f2))
+    a1 = 2.0 * f * sqrt((1.0 - f2) * (e2 - f2))
     if inverse:
         a1 = -a1
     a2, a3, a4 = e2 - f2 * f2, e2 + f2 * f2 - 2.0 * f2, e2 * (1.0 - 2.0 * f2) + f2 * f2
-    return e2, a1 * a4, a2 * a3, a1 * a2, a3 * a4
+    return e2, a1 * a4, a2 * a3, a1 * a2, a3 * a4, sqrt, maximum, hypot
 
 
 def _step(c, X, Y):
@@ -117,24 +124,46 @@ def _step(c, X, Y):
     the same map. The products of the a_i come from _coefficients; Python
     multiplies left to right, so a1 * a4 * Y * root rounds as here.
     """
-    e2, a14, a23, a12, a34 = c
-    root = np.sqrt(np.maximum(1.0 - e2 * Y * Y, 0.0))
+    e2, a14, a23, a12, a34, sqrt, maximum, hypot = c
+    root = sqrt(maximum(1.0 - e2 * Y * Y, 0.0))
     X1 = -(a14 * Y * root + a23 * X)
     Y1 = a12 * X * root - a34 * Y
-    n = np.hypot(X1, Y1)
+    n = hypot(X1, Y1)
     return X1 / n, Y1 / n
 
 
 def _winding(c, X, Y, steps: int):
-    """Winding average of `steps` kernel steps from (X, Y); O(1/steps)."""
-    phi = np.arctan2(Y, X)
-    total = 0.0
+    """Winding average of `steps` kernel steps from (X, Y); O(1/steps).
+
+    With f < e every step turns counterclockwise by an angle in (0, pi],
+    and by exactly pi only on the limiting ray f = 0, since S_e^f is
+    centred at the origin. So a step passes the ray phi = 0 exactly when it
+    goes from Y < 0 to Y >= 0, and the winding is that count of crossings
+    plus the net angle (phi_N - phi_0) / 2 pi, phi taken in [0, 2 pi): no
+    angle is computed inside the loop. The one exception is an orbit of the
+    limiting ray on the X axis, whose steps from phi = pi land on phi = 0
+    uncounted; the callers start off that axis.
+    """
+    tau = 2.0 * math.pi
+    phi0 = np.mod(np.arctan2(Y, X), tau)
+    low, crossings = Y < 0.0, 0
     for _ in range(steps):
         X, Y = _step(c, X, Y)
-        phi1 = np.arctan2(Y, X)
-        total = total + np.mod(phi1 - phi, 2.0 * math.pi)
-        phi = phi1
-    return total / (2.0 * math.pi * steps)
+        now = Y < 0.0
+        crossings = crossings + (low > now)
+        low = now
+    return (crossings + (np.mod(np.arctan2(Y, X), tau) - phi0) / tau) / steps
+
+
+def _step_count(n, least: int) -> int:
+    """n as an int of at least `least` steps, else InvalidParameter."""
+    try:
+        count = int(n)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"step count must be a finite number, got {n!r}") from exc
+    if count < least:
+        raise InvalidParameter(f"need at least {least} step(s), got {count!r}")
+    return count
 
 
 def standard_map(e, f: float, p) -> np.ndarray:
@@ -149,6 +178,8 @@ def standard_map(e, f: float, p) -> np.ndarray:
     if not (0.0 <= f <= e < 1.0):
         raise InvalidParameter(f"need 0 <= f <= e < 1, got f={f!r}, e={e!r}")
     X, Y = float(p[0]), float(p[1])
+    if not (math.isfinite(X) and math.isfinite(Y)):
+        raise InvalidParameter(f"point has non-finite coordinates: {p!r}")
     if abs(X * X + Y * Y - 1.0) > 1e-9:
         raise OffCircle(f"point {tuple(p)!r} is not on the unit circle")
     return np.array(_step(_coefficients(e, f), X, Y))
@@ -171,7 +202,7 @@ def poncelet_step(P: Pencil, nu, z, inverse: bool = False) -> np.ndarray:
     x, y = _require_on_outer(P, z)
     c = _member_coefficients(P, nu, inverse)
     X, Y = _step(c, *_to_chart(P, x, y))
-    return np.array(_from_chart(P, float(X), float(Y)))
+    return np.array(_from_chart(P, X, Y))
 
 
 def _covering_chart(P: Pencil, theta: float):
@@ -244,20 +275,14 @@ def symmetry_flow(P: Pencil, t: float, z) -> np.ndarray:
 def estimate_rotation(P: Pencil, nu, n: int = 10000) -> float:
     """Winding average of n steps from covering(P, 0.041); O(1/n) error."""
     c = _member_coefficients(P, nu)
-    n = int(n)
-    if n < 100:
-        raise InvalidParameter(f"need at least 100 steps, got {n!r}")
+    n = _step_count(n, 100)
     return float(_winding(c, *_covering_chart(P, 0.041), n))
 
 
 def _chart_orbit(P: Pencil, z0, ws, winding, residual, rho) -> PolygonOrbit:
-    """z0 followed by the chart points ws, mapped back in one product."""
-    pts = np.asarray(z0, dtype=float).reshape(1, 2)
-    if ws:
-        u = np.column_stack([np.asarray(ws), np.ones(len(ws))]) @ P.M.T
-        pts = np.vstack([pts, u[:, :2] / u[:, 2:]])
+    """The float point z0 followed by the chart points ws, mapped back."""
     return PolygonOrbit(
-        points=tuple(map(tuple, pts)),
+        points=(z0, *(_from_chart(P, X, Y) for X, Y in ws)),
         steps=len(ws),
         winding=winding,
         closure_residual=residual,
@@ -269,9 +294,7 @@ def polygon(P: Pencil, nu, z0, max_steps: int = 10000) -> PolygonOrbit:
     """Iterate P_nu from z0 until first return within TOL_CLOSE (standard
     chart) or max_steps; winding = round(steps * rho)."""
     x0, y0 = _require_on_outer(P, z0)
-    max_steps = int(max_steps)
-    if max_steps < 1:
-        raise InvalidParameter(f"need at least one step, got {max_steps!r}")
+    max_steps = _step_count(max_steps, 1)
     rho = rho_of_nu(P, nu)
     c = _member_coefficients(P, nu)
     X0, Y0 = X, Y = _to_chart(P, x0, y0)
@@ -282,7 +305,7 @@ def polygon(P: Pencil, nu, z0, max_steps: int = 10000) -> PolygonOrbit:
         residual = math.hypot(X - X0, Y - Y0)
         if residual < TOL_CLOSE:
             break
-    return _chart_orbit(P, z0, ws, int(round(len(ws) * rho)), residual, rho)
+    return _chart_orbit(P, (x0, y0), ws, int(round(len(ws) * rho)), residual, rho)
 
 
 def run_composition(P: Pencil, schedule, z0) -> PolygonOrbit:
@@ -301,4 +324,4 @@ def run_composition(P: Pencil, schedule, z0) -> PolygonOrbit:
             X, Y = _step(c, X, Y)
             ws.append((X, Y))
     residual = math.hypot(X - X0, Y - Y0)
-    return _chart_orbit(P, z0, ws, int(round(total_rho)), residual, total_rho)
+    return _chart_orbit(P, (x0, y0), ws, int(round(total_rho)), residual, total_rho)

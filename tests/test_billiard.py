@@ -267,6 +267,12 @@ def test_rotation_estimate_broadcasts():
         rotation_estimate(e, f, steps=0)
 
 
+def test_rotation_estimate_rejects_non_finite_steps():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            rotation_estimate(0.8, 0.4, bad)
+
+
 def test_rotation_monotone_in_each_slot():
     es = np.linspace(0.55, 0.9, 8)
     assert all(np.diff([rotation_confocal(e, 0.5) for e in es]) > 0)

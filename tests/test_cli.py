@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -15,6 +17,12 @@ from poncelet.conics import SymmetricConic, unit_circle
 from poncelet.pencil import build_pencil
 
 LAM = "0.2,0.125,0.111111"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# child processes import this checkout's package, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+}
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -262,6 +270,7 @@ def test_degenerate_spectrum_is_one_json_line():
     # process so that any numpy warning would reach stderr
     proc = subprocess.run(
         [sys.executable, "-m", "poncelet.cli", "rotation", "--lambda", "1,1,0.25"],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )
@@ -291,6 +300,7 @@ def test_svg_byte_determinism(capsys, tmp_path):
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "poncelet.cli", "verify", "--suite", "elliptic"],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )

@@ -14,6 +14,7 @@ from oracles import (
     geometric_step,
     homography_rounding_scale,
     spectral_gap,
+    winding_rotation,
 )
 from poncelet.conics import SymmetricConic, confocal_ellipse
 from poncelet.errors import (
@@ -27,6 +28,7 @@ from poncelet.maps import (
     _coefficients,
     _require_on_outer,
     _step,
+    _winding,
     covering,
     estimate_rotation,
     from_chart,
@@ -73,6 +75,12 @@ def test_standard_map_guards():
         standard_map(1.0, 0.5, (1.0, 0.0))
     with pytest.raises(OffCircle):
         standard_map(0.8, 0.5, (1.0, 0.1))
+
+
+def test_standard_map_rejects_non_finite_points():
+    for p in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)):
+        with pytest.raises(InvalidParameter):
+            standard_map(0.5, 0.2, p)
 
 
 def test_standard_map_quarter_porism():
@@ -201,24 +209,33 @@ def test_kernel_does_not_drift_off_circle():
         p = standard_map(e, f, p)
 
 
-def unexpanded_step(e, f, X, Y, inverse=False):
+MATH_PRIMITIVES = (math.sqrt, max, math.hypot)
+NUMPY_PRIMITIVES = (np.sqrt, np.maximum, np.hypot)
+
+
+def unexpanded_step(e, f, X, Y, inverse=False, primitives=NUMPY_PRIMITIVES):
     """The chord step with a1..a4 written out and multiplied in place."""
+    sqrt, maximum, hypot = primitives
     e2, f2 = e * e, f * f
-    a1 = 2.0 * f * np.sqrt((1.0 - f2) * (e2 - f2))
+    a1 = 2.0 * f * sqrt((1.0 - f2) * (e2 - f2))
     if inverse:
         a1 = -a1
     a2, a3, a4 = e2 - f2 * f2, e2 + f2 * f2 - 2.0 * f2, e2 * (1.0 - 2.0 * f2) + f2 * f2
-    root = np.sqrt(np.maximum(1.0 - e2 * Y * Y, 0.0))
+    root = sqrt(maximum(1.0 - e2 * Y * Y, 0.0))
     X1 = -(a1 * a4 * Y * root + a2 * a3 * X)
     Y1 = a1 * a2 * X * root - a3 * a4 * Y
-    n = np.hypot(X1, Y1)
+    n = hypot(X1, Y1)
     return X1 / n, Y1 / n
 
 
 def test_step_products_match_unexpanded_kernel():
     # _coefficients hands _step the products a1 a4, a2 a3, a1 a2, a3 a4, and
     # Python multiplies left to right, so orbits are bit-identical to the
-    # unexpanded expression, on arrays and on scalars alike
+    # unexpanded expression on the same primitives: numpy's on arrays,
+    # math's on floats. The two differ only in hypot, which numpy does not
+    # round correctly: a 1-ulp error in the norm n moves X1 / n by less than
+    # 2 ulps of the quotient when n's mantissa is near 1 and the quotient's
+    # near 2, so one step of either agrees within 2 ulps per coordinate.
     rng = np.random.default_rng(13)
     e = rng.uniform(0.05, 0.999, 400)
     f = rng.uniform(0.0, 1.0, 400) * e
@@ -231,11 +248,77 @@ def test_step_products_match_unexpanded_kernel():
             Xr, Yr = unexpanded_step(e, f, Xr, Yr, inverse)
             assert np.array_equal(X, Xr) and np.array_equal(Y, Yr)
         for k in range(20):
-            ck = _coefficients(float(e[k]), float(f[k]), inverse)
+            ek, fk = float(e[k]), float(f[k])
+            ck = _coefficients(ek, fk, inverse)
+            c1 = _coefficients(e[k : k + 1], f[k : k + 1], inverse)
             x, y = math.cos(t[k]), math.sin(t[k])
             for _ in range(50):
-                (x, y), ref = _step(ck, x, y), unexpanded_step(float(e[k]), float(f[k]), x, y, inverse)
+                ref = unexpanded_step(ek, fk, x, y, inverse, MATH_PRIMITIVES)
+                one = _step(c1, np.array([x]), np.array([y]))
+                x, y = _step(ck, x, y)
                 assert (x, y) == ref
+                for got, arr in zip((x, y), one):
+                    assert abs(got - float(arr[0])) <= 2.0 * math.ulp(got)
+
+
+def test_float_input_gives_python_floats():
+    # np.float64 subclasses float, so it takes the math primitives too
+    c = _coefficients(np.float64(0.8), 0.5)
+    assert all(type(v) is float for v in c[:5])
+    assert all(type(v) is float for v in _step(c, 0.6, 0.8))
+    P = diag_pencil()
+    z = covering(P, 0.3)
+    orbits = (
+        polygon(P, invert_rho(P, 0.2), z),
+        run_composition(P, [(invert_rho(P, 0.2), 2), (invert_rho(P, 0.3), -1)], z),
+    )
+    for orb in orbits:
+        assert all(type(v) is float for pt in orb.points for v in pt)
+
+
+def kernel_angles(c, X, Y, steps):
+    """arctan2 angles of the start and of `steps` kernel iterates."""
+    phis = [np.arctan2(Y, X)]
+    for _ in range(steps):
+        X, Y = _step(c, X, Y)
+        phis.append(np.arctan2(Y, X))
+    return phis
+
+
+def test_winding_matches_angle_sum_of_the_same_iterates():
+    # the crossing count plus the net angle equals the sum of arctan2 turns,
+    # on arrays and on floats, from next to the limiting ray (f = 1e-12 e)
+    # to next to the outer conic (f = e)
+    n = 400
+    ratios = np.array([1e-12, 1e-6, 0.01, 0.3, 0.7, 0.99, 1.0 - 1e-9])
+    rng = np.random.default_rng(29)
+    e = rng.uniform(0.05, 0.999, (len(ratios), 6))
+    f = ratios[:, None] * e
+    t = rng.uniform(0.0, 2.0 * math.pi, e.shape)
+    c = _coefficients(e, f)
+    got = _winding(c, np.cos(t), np.sin(t), n)
+    ref = winding_rotation(kernel_angles(c, np.cos(t), np.sin(t), n), n)
+    assert np.max(np.abs(got - ref)) < 1e-13
+    for ek, fk, tk in zip(e.ravel().tolist(), f.ravel().tolist(), t.ravel().tolist()):
+        ck = _coefficients(ek, fk)
+        got = _winding(ck, math.cos(tk), math.sin(tk), n)
+        assert got == pytest.approx(
+            winding_rotation(kernel_angles(ck, math.cos(tk), math.sin(tk), n), n), abs=1e-13
+        )
+
+
+def test_winding_on_the_limiting_ray_is_one_half():
+    # f = 0 is the antipodal map: every step turns by exactly pi
+    rng = np.random.default_rng(31)
+    e = rng.uniform(0.05, 0.999, 8)
+    t = rng.uniform(0.0, 2.0 * math.pi, 8)
+    c = _coefficients(e, np.zeros(8))
+    for n in (100, 101):
+        assert np.all(_winding(c, np.cos(t), np.sin(t), n) == 0.5)
+        ref = winding_rotation(kernel_angles(c, np.cos(t), np.sin(t), n), n)
+        assert np.max(np.abs(ref - 0.5)) < 1e-13
+        for ek, tk in zip(e.tolist(), t.tolist()):
+            assert _winding(_coefficients(ek, 0.0), math.cos(tk), math.sin(tk), n) == 0.5
 
 
 def chart_test_pencils(rng, n):
@@ -601,6 +684,16 @@ def test_estimate_rotation_near_limit():
     P = diag_pencil()
     est = estimate_rotation(P, (-LAM[2] + 1e-9, 1.0), 2000)
     assert abs(est - 0.5) < 1e-3
+
+
+def test_step_counts_must_be_finite():
+    P = diag_pencil()
+    nu, z = invert_rho(P, 0.25), covering(P, 0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter):
+            polygon(P, nu, z, max_steps=bad)
+        with pytest.raises(InvalidParameter):
+            estimate_rotation(P, nu, bad)
 
 
 def test_estimate_rotation_guards():
