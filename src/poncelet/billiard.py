@@ -169,13 +169,15 @@ def rotation_estimate(e, f, steps: int = 10000):
     Runs in the confocal chart, where E(f) is the unit circle, the caustic
     E(e) is S_e^f and boundary angle phi sits at (sin phi, -cos phi); the
     orbit starts at phi = 0. Broadcasts over numpy arrays of (e, f) pairs,
-    which keeps grid sweeps at O(steps) array operations.
+    which keeps grid sweeps at O(steps) array operations; a single pair
+    steps on Python floats and returns a float.
     """
     e = np.asarray(e, dtype=float)
     f = np.asarray(f, dtype=float)
     if not np.all((0.0 < f) & (f < e) & (e < 1.0)):
         raise NotInDelta("rotation estimate needs 0 < f < e < 1 elementwise")
     steps = _step_count(steps, 1)
+    if e.ndim == 0 and f.ndim == 0:
+        return float(_winding(_coefficients(float(e), float(f)), 0.0, -1.0, steps))
     e, f = np.broadcast_arrays(e, f)
-    out = _winding(_coefficients(e, f), 0.0, -1.0, steps)
-    return float(out) if np.ndim(out) == 0 else out
+    return _winding(_coefficients(e, f), 0.0, -1.0, steps)

@@ -55,8 +55,9 @@ class PolygonOrbit:
 
 
 def _homography(h, norm: float, x: float, y: float):
-    """pencil.apply_homography on floats: h holds the nine entries of the
-    matrix by rows and norm its Frobenius norm; same singularity test."""
+    """Fractional-linear action of a 3x3 matrix on the affine point (x, y):
+    h holds the nine entries of the matrix by rows and norm its Frobenius
+    norm. The denominator must not fall below 1e-13 * norm * |(x, y, 1)|."""
     h11, h12, h13, h21, h22, h23, h31, h32, h33 = h
     w = h31 * x + h32 * y + h33
     if abs(w) < 1e-13 * norm * math.sqrt(x * x + y * y + 1.0):
@@ -161,6 +162,8 @@ def _step_count(n, least: int) -> int:
         count = int(n)
     except (ValueError, OverflowError) as exc:
         raise InvalidParameter(f"step count must be a finite number, got {n!r}") from exc
+    if count != n:
+        raise InvalidParameter(f"step count must be an integer, got {n!r}")
     if count < least:
         raise InvalidParameter(f"need at least {least} step(s), got {count!r}")
     return count
@@ -309,14 +312,21 @@ def polygon(P: Pencil, nu, z0, max_steps: int = 10000) -> PolygonOrbit:
 
 
 def run_composition(P: Pencil, schedule, z0) -> PolygonOrbit:
-    """Apply (P_nu)^k blocks in order; rotation numbers add as sum(k rho)."""
+    """Apply (P_nu)^k blocks in order; rotation numbers add as sum(k rho).
+
+    Block counts k are integers, negative for the inverse map; each distinct
+    (nu, sign of k) is resolved once."""
     x0, y0 = _require_on_outer(P, z0)
     total_rho = 0.0
-    blocks = []
+    blocks, members = [], {}
     for nu, k in schedule:
-        k = int(k)
-        blocks.append((_member_coefficients(P, nu, inverse=k < 0), abs(k)))
-        total_rho += k * rho_of_nu(P, nu)
+        n = _step_count(abs(k), 0)
+        key = (as_param(nu), k < 0)
+        if key not in members:
+            members[key] = _member_coefficients(P, nu, inverse=k < 0), rho_of_nu(P, nu)
+        c, rho = members[key]
+        blocks.append((c, n))
+        total_rho += (-n if k < 0 else n) * rho
     X0, Y0 = X, Y = _to_chart(P, x0, y0)
     ws = []
     for c, k in blocks:

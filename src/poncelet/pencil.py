@@ -172,16 +172,6 @@ def build_pencil(C1: SymmetricConic, C2: SymmetricConic) -> Pencil:
     )
 
 
-def apply_homography(M, p) -> np.ndarray:
-    """Fractional-linear action of a 3x3 matrix on an affine point."""
-    M = np.asarray(M, dtype=float)
-    u = np.array([float(p[0]), float(p[1]), 1.0])
-    w = M @ u
-    if abs(w[2]) < 1e-13 * np.linalg.norm(M) * np.linalg.norm(u):
-        raise HomographySingularity(f"homography denominator vanished at {tuple(p)!r}")
-    return w[:2] / w[2]
-
-
 def _param_kind(lam, nu: PencilParam) -> str:
     """'outer' for (1,0), 'limit' on the boundary ray, 'member' inside;
     nu must be canonical."""
@@ -200,7 +190,11 @@ def _param_kind(lam, nu: PencilParam) -> str:
 
 
 def limiting_point(P: Pencil) -> np.ndarray:
-    return apply_homography(P.M, (0.0, 0.0))
+    """M applied to the chart origin: M's third column (m13, m23) / m33."""
+    m13, m23, m33 = P.M_entries[2::3]
+    if abs(m33) < 1e-13 * P.M_norm:
+        raise HomographySingularity("homography denominator vanished at (0.0, 0.0)")
+    return np.array([m13 / m33, m23 / m33])
 
 
 def member(P: Pencil, nu) -> SymmetricConic:

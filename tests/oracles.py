@@ -7,7 +7,9 @@ dual conic, the Poncelet step through those tangent lines, the circle
 pencil spectrum through the quadratic formula, the pencil cubic
 det(l*C1 - C2) by multilinear expansion, nesting by sampling the
 inner conic from its own centre and axes, and SVG polylines one point at a
-time. Conics are plain symmetric
+time. Homographies act by one numpy product on (x, y, 1); that oracle
+raises the package's HomographySingularity, so a test can expect the same
+error from both. Conics are plain symmetric
 3x3 matrices of u^T C u with u = (x, y, 1). Test modules import from here;
 the library must agree with these within the tolerances stated in the tests.
 """
@@ -21,6 +23,8 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+
+from poncelet.errors import HomographySingularity
 
 
 def ellint_F_quad(phi, e):
@@ -320,6 +324,17 @@ def spectral_gap(C1, C2):
 
 
 # -- homographies and SVG figures, one point at a time --------------------------
+
+
+def apply_homography(M, p) -> np.ndarray:
+    """Fractional-linear action of a 3x3 matrix on an affine point, by one
+    numpy product."""
+    M = np.asarray(M, dtype=float)
+    u = np.array([float(p[0]), float(p[1]), 1.0])
+    w = M @ u
+    if abs(w[2]) < 1e-13 * np.linalg.norm(M) * np.linalg.norm(u):
+        raise HomographySingularity(f"homography denominator vanished at {tuple(p)!r}")
+    return w[:2] / w[2]
 
 
 def homography_rounding_scale(H, pts):

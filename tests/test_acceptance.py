@@ -1,10 +1,16 @@
 """End-to-end acceptance criteria, one test per criterion.
 
-Each test states its tolerances inline and enforces a wall-clock budget.
-conftest.py turns the outcomes into a PASS/FAIL table after the run.
+Identities that `poncelet verify` also checks are stated once, in the
+suites of poncelet.verify, with their inputs and tolerances; a criterion
+asserts its suite through assert_suite. What stays here needs a test-only
+oracle or is too slow for every `verify` run, and states its tolerance
+inline. Each criterion enforces a wall-clock budget. conftest.py turns the
+outcomes into a PASS/FAIL table after the run.
 """
 
+import inspect
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -13,46 +19,37 @@ import pytest
 
 from poncelet import (
     SymmetricConic,
-    bicentric_check,
-    bicentric_rho,
-    bicentric_spectrum,
     billiard_map,
     build_pencil,
     caustic_state,
     cayley_condition,
-    confocal_ellipse,
-    confocal_poristic_residual,
     covering,
-    dual,
     ellint_K,
     f_of_nu,
-    gauss_transform,
-    half_rotation,
     invert_rho,
     lambda_porism,
-    member,
-    nesting_order,
     polygon,
     poncelet_step,
     porism_f,
-    rho_of_nu,
     rotation_confocal,
     rotation_estimate,
-    run_composition,
     standard_map,
     unit_circle,
 )
 from oracles import geometric_step, pencil_cubic
 from poncelet.billiard import boundary_point
 from poncelet.maps import from_chart, to_chart
-from poncelet.verify import run_suite
-
-LAM = (0.2, 0.125, 1.0 / 9.0)
+from poncelet.verify import SUITES, confocal_pair, cubic_field_rhos, fig3_pencil, run_suite
 
 
-def diag_pencil():
-    inner = SymmetricConic(LAM[0], 0.0, 0.0, LAM[1], 0.0, -LAM[2])
-    return build_pencil(unit_circle(), inner)
+def assert_suite(name):
+    """Every check of `poncelet verify --suite name` passes."""
+    report = run_suite(name)
+    assert report["suite"] == name and report["checks"]
+    for c in report["checks"]:
+        assert c["pass"], (
+            f"{c['name']}: residual {c['residual']!r} against {c['bound']} tol {c['tol']!r}"
+        )
 
 
 def spectrum_pencil(lam):
@@ -60,33 +57,17 @@ def spectrum_pencil(lam):
     return build_pencil(unit_circle(), SymmetricConic(l1, 0.0, 0.0, l2, 0.0, -l3))
 
 
-def confocal_pair(e, f):
-    # boundary is the less eccentric ellipse of the confocal pair
-    return build_pencil(confocal_ellipse(f), confocal_ellipse(e))
-
-
 def test_criterion_01_caption_rotation_numbers():
     t0 = time.perf_counter()
-    assert rotation_confocal(0.8, 0.572851) == pytest.approx(2.0 / 7.0, abs=5e-6)
-    _, f2 = half_rotation(0.8, 0.572851)
-    assert f2.e == pytest.approx(0.419316, abs=5e-6)
-    assert rotation_confocal(0.8, f2) == pytest.approx(5.0 / 14.0, abs=5e-6)
-    assert rotation_confocal(0.6, 0.503246) == pytest.approx(0.2, abs=5e-6)
-    g = gauss_transform(0.6, 0.503246)
-    assert g.e.e == pytest.approx(0.968246, abs=5e-6)
-    assert g.f.e == pytest.approx(0.913706, abs=5e-6)
-    assert rotation_confocal(g.e, g.f) == pytest.approx(0.2, abs=5e-6)
+    assert_suite("confocal")
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_criterion_02_pencil_fixture_and_conjugacy():
     t0 = time.perf_counter()
-    P = diag_pencil()
-    e = P.e.e
-    assert e == pytest.approx(math.sqrt(27.0 / 32.0), abs=1e-12)
-    assert rho_of_nu(P, (0.0, 1.0)) == pytest.approx(1.0 / 6.0, abs=1e-12)
-    f = f_of_nu(P, (0.0, 1.0))
-    assert f == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
+    assert_suite("pencil")
+    P = fig3_pencil()
+    e, f = P.e.e, f_of_nu(P, (0.0, 1.0))
     Pc = confocal_pair(e, f)
     worst = 0.0
     for k in range(32):
@@ -123,6 +104,9 @@ def test_criterion_03_rotation_grid():
 
 def test_criterion_04_porism_closure_and_polynomials():
     t0 = time.perf_counter()
+    assert_suite("confocal")
+    # the 128 closures stay here: in the suite they would add about a fifth
+    # to every `verify --suite all` run
     for s in ("1/3", "1/4", "1/5", "2/7", "2/5", "1/6", "1/10", "3/10"):
         ell = Fraction(s)
         f = porism_f(0.8, float(ell))
@@ -132,48 +116,18 @@ def test_criterion_04_porism_closure_and_polynomials():
             assert orb.steps == ell.denominator
             assert orb.winding == ell.numerator
             assert orb.closure_residual < 1e-7
-    for name in ("1/3", "1/4", "1/5", "2/5", "1/6"):
-        ell = float(Fraction(name))
-        for e in (0.6, 0.85):
-            f = porism_f(e, ell)
-            assert abs(confocal_poristic_residual(e, f, name)) < 1e-9
     assert time.perf_counter() - t0 < 10.0
 
 
 def test_criterion_05_duality_and_monotonicity():
     t0 = time.perf_counter()
-    P = diag_pencil()
-    rng = np.random.default_rng(17)
-    nus = [(float(rng.uniform(-LAM[2] + 1e-3, 3.0)), 1.0) for _ in range(100)]
-    for nu in nus:
-        total = rho_of_nu(P, nu) + rho_of_nu(P, dual(P, nu))
-        assert total == pytest.approx(0.5, abs=1e-10)
-    for i in range(0, 100, 2):
-        nu, mu = nus[i], nus[i + 1]
-        cross = nu[0] * mu[1] - nu[1] * mu[0]
-        drho = rho_of_nu(P, mu) - rho_of_nu(P, nu)
-        assert math.copysign(1.0, cross) == math.copysign(1.0, drho)
-    # projectively equal parameters classify as the same member
-    nu = (0.1, 1.0)
-    for mu in ((0.3, 3.0), (0.05, 0.5), (0.3 + 1e-13, 3.0)):
-        assert abs(nu[0] * mu[1] - nu[1] * mu[0]) < 1e-12
-        assert abs(nesting_order(P, nu, mu)) < 1e-12
-        assert rho_of_nu(P, mu) == pytest.approx(rho_of_nu(P, nu), abs=1e-10)
+    assert_suite("pencil")
     assert time.perf_counter() - t0 < 5.0
 
 
 def test_criterion_06_cayley_classification():
     t0 = time.perf_counter()
-    P = diag_pencil()
-    for N in range(3, 11):
-        for k in range(1, N):
-            if math.gcd(k, N) != 1 or 2 * k >= N:
-                continue
-            Pon = build_pencil(P.C1, member(P, invert_rho(P, k / N)))
-            off = k / N + (0.017 if k / N + 0.017 < 0.49 else -0.017)
-            Poff = build_pencil(P.C1, member(P, invert_rho(P, off)))
-            assert abs(cayley_condition(Pon, N)) < 1e-8
-            assert abs(cayley_condition(Poff, N)) > 1e-4
+    assert_suite("cayley")
     # Cay_3, the cubic discriminant pairing and the spectrum condition agree
     rng = np.random.default_rng(7)
     for trial in range(50):
@@ -196,26 +150,11 @@ def test_criterion_06_cayley_classification():
 
 def test_criterion_07_composed_schedules():
     t0 = time.perf_counter()
-    P = diag_pencil()
-    n1, n2 = invert_rho(P, 0.2), invert_rho(P, 0.3)
-    schedule = [(n1, 1), (n2, -1), (n1, 1), (n1, 1), (n2, -1)]
-    for j in range(8):
-        orb = run_composition(P, schedule, covering(P, (j + 0.45) / 8.0))
-        assert orb.steps == 5 and orb.winding == 0
-        assert orb.closure_residual < 1e-7
-    # rotation numbers 3x^3, 2x^2, x at the root of 21x^3+14x^2+7x-8 sum to 8/7
-    x = 0.45312020569808
-    for _ in range(4):
-        x -= (21 * x**3 + 14 * x**2 + 7 * x - 8) / (63 * x**2 + 28 * x + 7)
-    ells = (3 * x**3, 2 * x**2, x)
-    assert sum(ells) == pytest.approx(8.0 / 7.0, abs=1e-14)
-    nus = [invert_rho(P, l) for l in ells]
-    triple = [(nu, 1) for nu in nus] * 7
-    for j in range(8):
-        orb = run_composition(P, triple, covering(P, (j + 0.2) / 8.0))
-        assert orb.steps == 21 and orb.winding == 8
-        assert orb.closure_residual < 1e-6
-    # alternating any two of the three maps must stay open
+    assert_suite("composition")
+    # alternating any two of the three maps must stay open: 30,000 steps,
+    # about ten `verify --suite all` runs
+    P = fig3_pencil()
+    nus = [invert_rho(P, l) for l in cubic_field_rhos()]
     for i, j in ((0, 1), (0, 2), (1, 2)):
         z0 = covering(P, 0.11)
         w0 = to_chart(P, z0)
@@ -228,38 +167,13 @@ def test_criterion_07_composed_schedules():
 
 def test_criterion_08_bicentric_formulas():
     t0 = time.perf_counter()
-    assert bicentric_check(1.0, 0.5, 0.0, "triangle") == 0.0
-    # fl(1/sqrt(2))^2 lands one ulp above 0.5, so allow that much
-    fuss_r = 1.0 / math.sqrt(2.0)
-    assert bicentric_check(1.0, fuss_r, 0.0, "quadrilateral") == pytest.approx(0.0, abs=5e-16)
-    R, r = 1.0, 0.32
-    a = math.sqrt(R * (R - 2.0 * r))
-    assert abs(bicentric_check(R, r, a, "triangle")) < 1e-12
-    assert bicentric_rho(R, r, a) == pytest.approx(1.0 / 3.0, abs=1e-10)
-    a2 = 0.21
-    r2 = 1.0 / math.sqrt(1.0 / (R - a2) ** 2 + 1.0 / (R + a2) ** 2)
-    assert abs(bicentric_check(R, r2, a2, "quadrilateral")) < 1e-12
-    assert bicentric_rho(R, r2, a2) == pytest.approx(0.25, abs=1e-10)
-    lam = bicentric_spectrum(1.0, 0.3, 0.2)
-    assert lam[0] == 1.0
-    assert lam[1] == pytest.approx(0.9558421984903522, rel=1e-12)
-    assert lam[2] == pytest.approx(0.09415780150964784, rel=1e-12)
-    assert lam[1] * lam[2] == pytest.approx(0.09, rel=1e-12)
-    assert bicentric_check(1.0, 0.3, 0.2, "triangle") == pytest.approx(-1.25, rel=1e-12)
-    assert bicentric_check(1.0, 0.3, 0.2, "quadrilateral") == pytest.approx(
-        -8.854166666666666, rel=1e-12
-    )
-    assert bicentric_spectrum(1.0, 0.5, 0.0) == (1.0, 1.0, 0.25)
+    assert_suite("cayley")
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_criterion_09_elliptic_identities():
-    # the identities and tolerances live in `poncelet verify --suite elliptic`
     t0 = time.perf_counter()
-    report = run_suite("elliptic")
-    assert report["checks"]
-    for c in report["checks"]:
-        assert c["pass"], f"{c['name']}: residual {c['residual']!r} against tol {c['tol']!r}"
+    assert_suite("elliptic")
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -281,3 +195,19 @@ def test_criterion_10_singular_limits():
     # caustic approaching the boundary drives the rotation number to zero
     assert rotation_confocal(0.5, 0.5 - 1e-6) < 0.01
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_check_registry_invariants():
+    # check names are unique, every suite is asserted by some criterion, and
+    # the whole registry stays cheap enough for every `poncelet verify` run
+    t0 = time.perf_counter()
+    report = run_suite("all")
+    elapsed = time.perf_counter() - t0
+    names = [c["name"] for c in report["checks"]]
+    assert len(names) == len(set(names))
+    asserted = set()
+    for name, fn in list(globals().items()):
+        if name.startswith("test_criterion_"):
+            asserted.update(re.findall(r'assert_suite\("(\w+)"\)', inspect.getsource(fn)))
+    assert asserted == set(SUITES) - {"all"}
+    assert elapsed < 0.25

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     PointClass,
     adjugate,
+    apply_homography,
     classify_point,
     geometric_step,
     homography_rounding_scale,
@@ -42,7 +43,6 @@ from poncelet.maps import (
     to_chart,
 )
 from poncelet.pencil import (
-    apply_homography,
     build_pencil,
     dual,
     f_of_nu,
@@ -689,11 +689,17 @@ def test_estimate_rotation_near_limit():
 def test_step_counts_must_be_finite():
     P = diag_pencil()
     nu, z = invert_rho(P, 0.25), covering(P, 0.1)
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, 2.7):
         with pytest.raises(InvalidParameter):
             polygon(P, nu, z, max_steps=bad)
         with pytest.raises(InvalidParameter):
             estimate_rotation(P, nu, bad)
+        for k in (bad, -bad):
+            with pytest.raises(InvalidParameter):
+                run_composition(P, [(nu, k)], z)
+    # integral floats count as their integers
+    assert (run_composition(P, [(nu, 2.0), (nu, -1.0)], z).points
+            == run_composition(P, [(nu, 2), (nu, -1)], z).points)
 
 
 def test_estimate_rotation_guards():

@@ -1,5 +1,6 @@
 """Pencil diagonalization, parameter cone, duality, standard pencil."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ellipse_matrix, nesting_margin, pencil_cubic, spectral_gap
+from oracles import apply_homography, ellipse_matrix, nesting_margin, pencil_cubic, spectral_gap
 from poncelet.conics import (
     SymmetricConic,
     confocal_ellipse,
@@ -24,7 +25,6 @@ from poncelet.errors import (
 )
 from poncelet.pencil import (
     PencilParam,
-    apply_homography,
     build_pencil,
     confocal_to_standard,
     dual,
@@ -312,6 +312,14 @@ def test_member_limiting_ray():
         member(P, (-1.0 / 9.0, 1.0))
     assert ei.value.point == pytest.approx((0.0, 0.0), abs=1e-12)
     assert limiting_point(P) == pytest.approx((0.0, 0.0), abs=1e-12)
+    # M's third column is the image of the chart origin, to the last bit
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        Q = build_pencil(*random_nested_pair(rng)[:2])
+        assert tuple(limiting_point(Q)) == tuple(apply_homography(Q.M, (0.0, 0.0)))
+    flat = P.M_entries[:8] + (0.5e-13 * P.M_norm,)
+    with pytest.raises(HomographySingularity):
+        limiting_point(dataclasses.replace(P, M_entries=flat))
 
 
 def test_member_outside_cone():
