@@ -6,9 +6,6 @@ polygon orbits, and the confocal billiard correspondence.
 
 from .billiard import (
     EccPair,
-    PhasePoint,
-    billiard_map,
-    caustic_state,
     gauss_transform,
     half_rotation,
     porism_f,
@@ -24,7 +21,6 @@ from .cayley import (
     confocal_poristic_residual,
     lambda_porism,
     porism_report,
-    sqrt_series,
 )
 from .conics import SymmetricConic, confocal_ellipse, unit_circle, validate_ellipse
 from .elliptic import Modulus, ellint_F, ellint_K, jacobi, jacobi_epsilon
@@ -60,7 +56,6 @@ __all__ = [
     "Modulus",
     "Pencil",
     "PencilParam",
-    "PhasePoint",
     "PolygonOrbit",
     "PonceletError",
     "SymmetricConic",
@@ -68,9 +63,7 @@ __all__ = [
     "bicentric_conics",
     "bicentric_rho",
     "bicentric_spectrum",
-    "billiard_map",
     "build_pencil",
-    "caustic_state",
     "cayley_condition",
     "confocal_ellipse",
     "confocal_poristic_residual",
@@ -98,7 +91,6 @@ __all__ = [
     "rotation_confocal",
     "rotation_estimate",
     "run_composition",
-    "sqrt_series",
     "standard_map",
     "symmetry_flow",
     "unit_circle",

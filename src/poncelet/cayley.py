@@ -3,29 +3,12 @@ square-root series of det(l*C1 - C2), closed-form spectral conditions, the
 classical confocal polynomial sets, and bicentric circle pairs."""
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .billiard import as_ecc_pair
 from .conics import SymmetricConic
-from .errors import (
-    BadSignature,
-    DegenerateSpectrum,
-    InvalidParameter,
-    InvalidPeriod,
-    NotNested,
-    UnknownSet,
-)
+from .errors import DegenerateSpectrum, InvalidPeriod, NotNested, UnknownSet
 from .maps import rho_from_spectrum, rho_of_nu
 from .pencil import Pencil
-
-
-@dataclass(frozen=True)
-class SqrtSeries:
-    """Taylor coefficients alpha_0..alpha_m of sqrt(det(l*C1 - C2)) at l=0."""
-
-    alpha: tuple
 
 
 def _unit_series(lam, order: int) -> list:
@@ -42,25 +25,14 @@ def _unit_series(lam, order: int) -> list:
     return a
 
 
-def sqrt_series(P: Pencil, order: int) -> SqrtSeries:
-    """Formal square root of the pencil cubic, seeded at sqrt(det(-C2)):
-    alpha_k = sqrt(det(-C2)) a_k / l3^k with a_k from the spectrum."""
-    order = int(order)
-    if order < 2:
-        raise InvalidParameter(f"need order >= 2, got {order!r}")
-    c0 = -float(np.linalg.det(P.C2.matrix))
-    if c0 <= 0.0:
-        raise BadSignature(f"constant term det(-C2) = {c0!r} is not positive")
-    s, l3 = math.sqrt(c0), P.lam[2]
-    return SqrtSeries(alpha=tuple(s * a / l3**k for k, a in enumerate(_unit_series(P.lam, order))))
-
-
 def _hankel_det(a, start: int, m: int) -> float:
     """Row-normalized determinant of the m x m Hankel H[i,j] = a[i+j+start].
 
     Size one skips the row normalization, which would collapse the entry to
     its sign; larger sizes divide by the product of row norms.
     """
+    import numpy as np
+
     H = np.array([[a[i + j + start] for j in range(m)] for i in range(m)])
     if m == 1:
         return float(H[0, 0])

@@ -2,9 +2,11 @@
 
 Subcommands: rotation, invert, polygon, sweep, verify, render. Reports go to
 stdout as JSON (CSV for sweep) with shortest round-trip float formatting;
-validation failures print {"error": code, "message": ...} to stderr and exit
-with code 2. `verify` exits 1 when a check fails. Identical invocations
-produce byte-identical output.
+validation failures, and output files that cannot be written, print
+{"error": code, "message": ...} to stderr and exit with code 2. `verify`
+exits 1 when a check fails. Identical invocations produce byte-identical
+output. numpy is imported only by the commands that build arrays: `sweep`,
+`verify`, and pencils of general (not axis-aligned) conics.
 """
 
 import argparse
@@ -13,15 +15,12 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .billiard import porism_f, rotation_confocal, rotation_estimate
 from .conics import SymmetricConic, confocal_ellipse, unit_circle
 from .errors import InvalidParameter, NonFiniteResult, PonceletError
-from .maps import covering, estimate_rotation, invert_rho, polygon, rho_of_nu
+from .maps import _covering_chart, _from_chart, estimate_rotation, invert_rho, polygon, rho_of_nu
 from .pencil import as_param, build_pencil, f_of_nu
 from .svg import svg_figure
-from .verify import SUITES, run_suite
 
 _CONIC_KEYS = ("c11", "c12", "c13", "c22", "c23", "c33")
 
@@ -59,9 +58,9 @@ def _parse_ell(text):
     if "/" in text:
         try:
             frac = Fraction(text)
-        except (ValueError, ZeroDivisionError):
+            return float(frac), frac
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise InvalidParameter(f"could not parse rotation number {text!r}") from None
-        return float(frac), frac
     try:
         return float(text), None
     except ValueError:
@@ -111,19 +110,33 @@ def _pencil_from_args(args):
     raise InvalidParameter('pencil JSON needs either "lambda" or both "C1" and "C2"')
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as a JSON error line, like every other failure."""
+def _usage_error(prog, message):
+    """Exit 2 with a usage error as a JSON error line, like every other failure."""
+    err = {"error": InvalidParameter.code, "message": f"{prog}: {message}"}
+    sys.stderr.write(json.dumps(err) + "\n")
+    sys.exit(2)
 
+
+class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        err = {"error": InvalidParameter.code, "message": f"{self.prog}: {message}"}
-        self.exit(2, json.dumps(err) + "\n")
+        if message.endswith("expected one argument"):
+            # argparse takes a value such as -0.1,1 for an option string
+            message += " (write a value that starts with '-' after '=', as in --nu=-0.1,1)"
+        _usage_error(self.prog, message)
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise InvalidParameter(f"cannot write output file: {ex}") from None
 
 
 def _emit(args, text):
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -138,8 +151,12 @@ def _emit_json(args, report):
 
 def _write_svg(args, P, members, orbit):
     if getattr(args, "svg", None):
-        with open(args.svg, "w") as fh:
-            fh.write(svg_figure(P, members, orbit=orbit))
+        _write(args.svg, svg_figure(P, members, orbit=orbit))
+
+
+def _covering_start(P):
+    """covering(P, 0) as a pair of floats: where every CLI orbit starts."""
+    return _from_chart(P, *_covering_chart(P, 0.0))
 
 
 def _cmd_rotation(args):
@@ -187,7 +204,7 @@ def _cmd_invert(args):
         nu = invert_rho(P, ell)
         extra = {"f": f_of_nu(P, nu)}
     can = as_param(nu).canonical()
-    orbit = polygon(P, nu, covering(P, 0.0), max_steps=args.steps)
+    orbit = polygon(P, nu, _covering_start(P), max_steps=args.steps)
     report = {"command": "invert", "ell": ell}
     if frac is not None:
         report["ell_exact"] = str(frac)
@@ -207,7 +224,7 @@ def _member_orbit(args):
         nu = invert_rho(P, _parse_ell(args.ell)[0])
     else:
         nu = _parse_floats(args.nu, 2, "--nu")
-    orbit = polygon(P, nu, covering(P, 0.0), max_steps=args.steps)
+    orbit = polygon(P, nu, _covering_start(P), max_steps=args.steps)
     _write_svg(args, P, [nu], orbit.points)
     return orbit
 
@@ -218,6 +235,8 @@ def _cmd_polygon(args):
 
 
 def _cmd_sweep(args):
+    import numpy as np
+
     try:
         ge, gf = (int(p) for p in str(args.grid).lower().split("x"))
     except ValueError:
@@ -239,6 +258,13 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
+    from .verify import SUITES, run_suite
+
+    if args.suite not in SUITES:
+        # the message argparse gives for a value outside `choices`
+        choices = ", ".join(map(repr, SUITES))
+        _usage_error("poncelet verify",
+                     f"argument --suite: invalid choice: {args.suite!r} (choose from {choices})")
     report = run_suite(args.suite)
     _emit_json(args, report)
     return 0 if report["passed"] else 1
@@ -302,7 +328,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="all", choices=SUITES)
+    p.add_argument("--suite", default="all", help="one suite, or all (the default)")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=_cmd_verify)
 

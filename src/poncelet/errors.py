@@ -65,22 +65,6 @@ class HomographySingularity(PonceletError):
     code = "homography_singularity"
 
 
-class OutOfAnnulus(PonceletError):
-    """Billiard phase point with |r| at or above the tangent speed."""
-
-    code = "out_of_annulus"
-
-
-class NoIntersection(PonceletError):
-    code = "no_intersection"
-
-
-class NotInUPlus(PonceletError):
-    """Phase point outside the positively-moving elliptic-caustic region."""
-
-    code = "not_in_u_plus"
-
-
 class NotInDelta(PonceletError):
     """Eccentricity pair outside 0 < f < e < 1."""
 
@@ -111,12 +95,6 @@ class InvalidPeriod(PonceletError):
     """Cayley period N below 3."""
 
     code = "invalid_period"
-
-
-class BadSignature(PonceletError):
-    """Characteristic-polynomial constant term not positive; sqrt series undefined."""
-
-    code = "bad_signature"
 
 
 class UnknownSet(PonceletError):

@@ -10,10 +10,9 @@ conic on the left of the chord). Rotation numbers are plain floats in
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .elliptic import Modulus, ellint_F, ellint_K, jacobi
 from .errors import (
+    DegenerateSpectrum,
     HomographySingularity,
     InvalidParameter,
     InvalidRotation,
@@ -30,6 +29,7 @@ from .pencil import (
 
 TOL_CLOSE = 1e-7
 _TOL_ON_CURVE = 1e-9
+_TAU = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,16 @@ def _from_chart(P: Pencil, X: float, Y: float):
     return _homography(P.M_entries, P.M_norm, X, Y)
 
 
-def to_chart(P: Pencil, z) -> np.ndarray:
+def to_chart(P: Pencil, z):
     """Original plane -> standardized chart where C1 is the unit circle."""
+    import numpy as np
+
     return np.array(_to_chart(P, float(z[0]), float(z[1])))
 
 
-def from_chart(P: Pencil, w) -> np.ndarray:
+def from_chart(P: Pencil, w):
+    import numpy as np
+
     return np.array(_from_chart(P, float(w[0]), float(w[1])))
 
 
@@ -94,26 +98,37 @@ def _require_on_outer(P: Pencil, z):
     return x, y
 
 
+def _angle(Y, X):
+    """The angle of (X, Y) in [0, 2 pi), on floats."""
+    return math.atan2(Y, X) % _TAU
+
+
 def _coefficients(e, f, inverse=False):
-    """(e^2, a1 a4, a2 a3, a1 a2, a3 a4, sqrt, maximum, hypot) from the
-    coefficients a1..a4 of the standard map against S_e^f.
+    """(e^2, a1 a4, a2 a3, a1 a2, a3 a4, sqrt, maximum, hypot, angle) from
+    the coefficients a1..a4 of the standard map against S_e^f.
 
     Float e and f (np.float64 included) take the math primitives and give
     Python floats; anything else takes numpy ufuncs, so e and f may be
-    arrays. _step uses the primitives handed over here. The inverse map is
-    the same kernel with a1 -> -a1 (reflection symmetry of S_e^f).
+    arrays. _step and _winding use the primitives handed over here. The
+    inverse map is the same kernel with a1 -> -a1 (reflection symmetry of
+    S_e^f).
     """
     if isinstance(e, float) and isinstance(f, float):
         e, f = float(e), float(f)
-        sqrt, maximum, hypot = math.sqrt, max, math.hypot
+        sqrt, maximum, hypot, angle = math.sqrt, max, math.hypot, _angle
     else:
+        import numpy as np
+
         sqrt, maximum, hypot = np.sqrt, np.maximum, np.hypot
+
+        def angle(Y, X):
+            return np.mod(np.arctan2(Y, X), _TAU)
     e2, f2 = e * e, f * f
     a1 = 2.0 * f * sqrt((1.0 - f2) * (e2 - f2))
     if inverse:
         a1 = -a1
     a2, a3, a4 = e2 - f2 * f2, e2 + f2 * f2 - 2.0 * f2, e2 * (1.0 - 2.0 * f2) + f2 * f2
-    return e2, a1 * a4, a2 * a3, a1 * a2, a3 * a4, sqrt, maximum, hypot
+    return e2, a1 * a4, a2 * a3, a1 * a2, a3 * a4, sqrt, maximum, hypot, angle
 
 
 def _step(c, X, Y):
@@ -125,7 +140,7 @@ def _step(c, X, Y):
     the same map. The products of the a_i come from _coefficients; Python
     multiplies left to right, so a1 * a4 * Y * root rounds as here.
     """
-    e2, a14, a23, a12, a34, sqrt, maximum, hypot = c
+    e2, a14, a23, a12, a34, sqrt, maximum, hypot, _ = c
     root = sqrt(maximum(1.0 - e2 * Y * Y, 0.0))
     X1 = -(a14 * Y * root + a23 * X)
     Y1 = a12 * X * root - a34 * Y
@@ -145,15 +160,15 @@ def _winding(c, X, Y, steps: int):
     limiting ray on the X axis, whose steps from phi = pi land on phi = 0
     uncounted; the callers start off that axis.
     """
-    tau = 2.0 * math.pi
-    phi0 = np.mod(np.arctan2(Y, X), tau)
+    angle = c[-1]
+    phi0 = angle(Y, X)
     low, crossings = Y < 0.0, 0
     for _ in range(steps):
         X, Y = _step(c, X, Y)
         now = Y < 0.0
         crossings = crossings + (low > now)
         low = now
-    return (crossings + (np.mod(np.arctan2(Y, X), tau) - phi0) / tau) / steps
+    return (crossings + (angle(Y, X) - phi0) / _TAU) / steps
 
 
 def _step_count(n, least: int) -> int:
@@ -169,13 +184,15 @@ def _step_count(n, least: int) -> int:
     return count
 
 
-def standard_map(e, f: float, p) -> np.ndarray:
+def standard_map(e, f: float, p):
     """The explicit Poncelet map of the unit circle against S_e^f.
 
     Rational in (X, Y, sqrt(1 - e^2 Y^2)) with the non-negative branch of
     the square root. f = 0 is the antipodal map, f = e the identity. The
     image is put back on the circle, so the map can be iterated.
     """
+    import numpy as np
+
     e = e.e if isinstance(e, Modulus) else float(e)
     f = float(f)
     if not (0.0 <= f <= e < 1.0):
@@ -196,12 +213,14 @@ def _member_coefficients(P: Pencil, nu, inverse=False):
     return _coefficients(P.e.e, _f_of_canonical(P, nu, kind), inverse)
 
 
-def poncelet_step(P: Pencil, nu, z, inverse: bool = False) -> np.ndarray:
+def poncelet_step(P: Pencil, nu, z, inverse: bool = False):
     """One positive-orientation Poncelet step of z on C1 against C_nu.
 
     The standard map against S_e^f(nu) seen through the chart; the limiting
     ray (f = 0) gives the conjugated half turn.
     """
+    import numpy as np
+
     x, y = _require_on_outer(P, z)
     c = _member_coefficients(P, nu, inverse)
     X, Y = _step(c, *_to_chart(P, x, y))
@@ -214,11 +233,13 @@ def _covering_chart(P: Pencil, theta: float):
     return jv.cn, jv.sn
 
 
-def covering(P: Pencil, theta: float) -> np.ndarray:
+def covering(P: Pencil, theta: float):
     """Standard covering of C1: theta -> M_hat(cn(4K theta), sn(4K theta)).
 
     Period 1; every P_nu becomes the shift theta -> theta + rho(nu).
     """
+    import numpy as np
+
     return np.array(_from_chart(P, *_covering_chart(P, theta)))
 
 
@@ -231,6 +252,9 @@ def rho_from_spectrum(lam, nu) -> float:
         return 0.0
     # sin^2 : cos^2 of omega is (l1 - l3) nu2 : nu1 + l3 nu2, cancellation-free near pi/2
     s2, c2 = (l1 - l3) * nu.nu2, nu.nu1 + l3 * nu.nu2
+    if not l1 - l3 > 0.0:
+        # l1 = l3, as when a confocal spectrum underflows to zero
+        raise DegenerateSpectrum(f"no modulus in the spectrum {tuple(lam)!r}")
     omega = math.atan2(math.sqrt(max(s2, 0.0)), math.sqrt(max(c2, 0.0)))
     e = Modulus(math.sqrt(max((l1 - l2) / (l1 - l3), 0.0)))
     return ellint_F(omega, e) / (2.0 * ellint_K(e))
@@ -264,7 +288,7 @@ def invert_rho(P: Pencil, ell: float) -> PencilParam:
     return PencilParam(l1 * jv.cn**2 - l3, jv.sn**2)
 
 
-def symmetry_flow(P: Pencil, t: float, z) -> np.ndarray:
+def symmetry_flow(P: Pencil, t: float, z):
     """The circle-translation symmetry: covering-angle shift by t.
 
     Commutes with every P_nu and closes orbits onto translated orbits.

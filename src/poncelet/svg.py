@@ -7,21 +7,28 @@ identical inputs give byte-identical documents.
 """
 
 import math
+from functools import lru_cache
 
-import numpy as np
-
+from .maps import _homography
 from .pencil import Pencil, as_param, _param_kind
 
 _FMT = "%.8g"
 
 
-def member_polyline(P: Pencil, nu, segments: int = 256) -> np.ndarray:
-    """Closed polyline on the member conic, returned in plane coordinates.
+@lru_cache(maxsize=4)
+def _unit_samples(segments: int) -> tuple:
+    """(cos t, sin t) at the angles t of np.linspace(0, 2 pi, segments + 1)[:-1]."""
+    step = 2.0 * math.pi / segments
+    return tuple((math.cos(k * step), math.sin(k * step)) for k in range(segments))
+
+
+def _member_points(P: Pencil, nu, segments: int) -> list:
+    """The points of member_polyline as (x, y) floats.
 
     In the diagonalizing chart the member is the origin-centered ellipse
     (nu1 + l1 nu2) x^2 + (nu1 + l2 nu2) y^2 = nu1 + l3 nu2, so it is sampled
-    there and pushed forward with one product by M. The outer ray (1, 0)
-    gives the unit circle.
+    there and each point is pushed forward by M. The outer ray (1, 0) gives
+    the unit circle.
     """
     nu = as_param(nu).canonical()
     _param_kind(P.lam, nu)  # reject parameters outside the closed cone
@@ -29,16 +36,23 @@ def member_polyline(P: Pencil, nu, segments: int = 256) -> np.ndarray:
     g = max(nu.nu1 + l3 * nu.nu2, 0.0)  # the limiting ray can round below 0
     a = math.sqrt(g / (nu.nu1 + l1 * nu.nu2))
     b = math.sqrt(g / (nu.nu1 + l2 * nu.nu2))
-    t = np.linspace(0.0, 2.0 * math.pi, segments + 1)
-    u = np.column_stack([a * np.cos(t), b * np.sin(t), np.ones_like(t)]) @ P.M.T
-    pts = u[:, :2] / u[:, 2:]
-    pts[-1] = pts[0]
+    h, norm = P.M_entries, P.M_norm
+    pts = [_homography(h, norm, a * c, b * s) for c, s in _unit_samples(segments)]
+    pts.append(pts[0])
     return pts
+
+
+def member_polyline(P: Pencil, nu, segments: int = 256):
+    """Closed polyline on the member conic, as a (segments + 1, 2) array of
+    plane coordinates whose last row repeats the first."""
+    import numpy as np
+
+    return np.array(_member_points(P, nu, segments))
 
 
 def _points_attr(pts) -> str:
     pair = _FMT + "," + _FMT
-    return " ".join(pair % (x, -y) for x, y in np.asarray(pts, dtype=float).tolist())
+    return " ".join(pair % (x, -y) for x, y in pts)
 
 
 def svg_figure(P: Pencil, members=((0.0, 1.0),), orbit=None, segments: int = 256) -> str:
@@ -47,15 +61,13 @@ def svg_figure(P: Pencil, members=((0.0, 1.0),), orbit=None, segments: int = 256
     ``orbit`` is a sequence of plane points (a PolygonOrbit's points work
     as-is). The viewBox fits everything drawn with a 5% margin.
     """
-    conics = [member_polyline(P, (1.0, 0.0), segments)]
-    for nu in members:
-        conics.append(member_polyline(P, nu, segments))
-    orbit_pts = None
+    drawn = [_member_points(P, nu, segments) for nu in ((1.0, 0.0), *members)]
+    colors = ["#000000"] + ["#777777"] * (len(drawn) - 1) + ["#1f77b4"]
     if orbit is not None and len(orbit) > 0:
-        orbit_pts = np.asarray(orbit, dtype=float)
-    allpts = np.vstack(conics + ([orbit_pts] if orbit_pts is not None else []))
-    xmin, ymin = allpts.min(axis=0)
-    xmax, ymax = allpts.max(axis=0)
+        drawn.append([(float(x), float(y)) for x, y in orbit])
+    xs = [x for pts in drawn for x, _ in pts]
+    ys = [y for pts in drawn for _, y in pts]
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     margin = 0.05 * max(xmax - xmin, ymax - ymin)
     x0, y0 = xmin - margin, -(ymax + margin)
     w, h = xmax - xmin + 2.0 * margin, ymax - ymin + 2.0 * margin
@@ -67,15 +79,8 @@ def svg_figure(P: Pencil, members=((0.0, 1.0),), orbit=None, segments: int = 256
         ),
         '<g fill="none" stroke-width="{}">'.format(_FMT % stroke),
     ]
-    for k, pts in enumerate(conics):
-        color = "#000000" if k == 0 else "#777777"
-        lines.append(
-            '<polyline stroke="{}" points="{}"/>'.format(color, _points_attr(pts))
-        )
-    if orbit_pts is not None:
-        lines.append(
-            '<polyline stroke="#1f77b4" points="{}"/>'.format(_points_attr(orbit_pts))
-        )
+    for color, pts in zip(colors, drawn):
+        lines.append('<polyline stroke="{}" points="{}"/>'.format(color, _points_attr(pts)))
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

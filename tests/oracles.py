@@ -9,14 +9,19 @@ det(l*C1 - C2) by multilinear expansion, nesting by sampling the
 inner conic from its own centre and axes, and SVG polylines one point at a
 time. Homographies act by one numpy product on (x, y, 1); that oracle
 raises the package's HomographySingularity, so a test can expect the same
-error from both. Conics are plain symmetric
-3x3 matrices of u^T C u with u = (x, y, 1). Test modules import from here;
-the library must agree with these within the tolerances stated in the tests.
+error from both. The confocal billiard reflects chords off the boundary
+E(f); its cover map alone takes K and the Jacobi functions from the
+package, which the elliptic tests check against quadrature. The square-root
+series of the pencil cubic comes from that cubic's coefficients. Conics are
+plain symmetric 3x3 matrices of u^T C u with u = (x, y, 1). Test modules
+import from here; the library must agree with these within the tolerances
+stated in the tests.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,7 +29,9 @@ import scipy.linalg
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from poncelet.errors import HomographySingularity
+from poncelet.billiard import as_ecc_pair
+from poncelet.elliptic import Modulus, as_modulus, ellint_K, jacobi
+from poncelet.errors import HomographySingularity, InvalidParameter, PonceletError
 
 
 def ellint_F_quad(phi, e):
@@ -387,3 +394,143 @@ def svg_document(polylines, orbit=None):
         attr = " ".join(fmt(x) + "," + fmt(-y) for x, y in pts)
         lines.append(f'<polyline stroke="{colour}" points="{attr}"/>')
     return "\n".join(lines + ["</g>", "</svg>"]) + "\n"
+
+
+# -- the confocal billiard by reflection ----------------------------------------
+#
+# Boundary parameterization gamma(phi) = (cos phi, sqrt(1-f^2) sin phi)/f;
+# states are (phi, r) with r the tangential momentum d . gamma'(phi) of the
+# outgoing unit direction d. The annulus is r^2 < |gamma'|^2 and the caustic
+# level sets are H = r^2/2 + cos^2(phi)/2 = 1/(2e^2) on the r > 0 sheet.
+
+
+class OutOfAnnulus(PonceletError):
+    """Billiard phase point with |r| at or above the tangent speed."""
+
+    code = "out_of_annulus"
+
+
+class NoIntersection(PonceletError):
+    code = "no_intersection"
+
+
+class NotInUPlus(PonceletError):
+    """Phase point outside the positively-moving elliptic-caustic region."""
+
+    code = "not_in_u_plus"
+
+
+@dataclass(frozen=True)
+class PhasePoint:
+    phi: float
+    r: float
+
+
+def boundary_point(f: float, phi: float) -> np.ndarray:
+    return np.array([math.cos(phi), math.sqrt(1.0 - f * f) * math.sin(phi)]) / f
+
+
+def boundary_velocity(f: float, phi: float) -> np.ndarray:
+    return np.array([-math.sin(phi), math.sqrt(1.0 - f * f) * math.cos(phi)]) / f
+
+
+def invariant_H(s: PhasePoint) -> float:
+    return 0.5 * s.r * s.r + 0.5 * math.cos(s.phi) ** 2
+
+
+def caustic_of_state(s: PhasePoint) -> Modulus:
+    """Caustic eccentricity 1/sqrt(2H) of a state on the r > 0 sheet."""
+    H = invariant_H(s)
+    if s.r <= 0.0 or H <= 0.5:
+        raise NotInUPlus(f"state (phi={s.phi!r}, r={s.r!r}) has H={H!r}")
+    return Modulus(1.0 / math.sqrt(2.0 * H))
+
+
+def caustic_state(e, phi: float) -> PhasePoint:
+    """The state of Lambda(e) over boundary angle phi."""
+    e = as_modulus(e).e
+    r2 = 1.0 / (e * e) - math.cos(phi) ** 2
+    if r2 <= 0.0:
+        raise NotInUPlus(f"no caustic state at phi={phi!r} for e={e!r}")
+    return PhasePoint(phi, math.sqrt(r2))
+
+
+def billiard_map(f, s: PhasePoint) -> PhasePoint:
+    """One reflection: reconstruct the outgoing chord, hit the boundary.
+
+    Returns the lifted angle phi + dphi with dphi in (0, 2pi), so repeated
+    application winds the lift forward monotonically.
+    """
+    f = as_modulus(f).e
+    v = boundary_velocity(f, s.phi)
+    speed2 = float(v @ v)
+    if s.r * s.r >= speed2:
+        raise OutOfAnnulus(f"r^2 = {s.r**2!r} >= |gamma'|^2 = {speed2!r}")
+    t_hat = v / math.sqrt(speed2)
+    n_in = np.array([-t_hat[1], t_hat[0]])  # +90 degrees: inward for ccw boundary
+    a = s.r / math.sqrt(speed2)
+    d = a * t_hat + math.sqrt(1.0 - a * a) * n_in
+    E = np.array([f * f, f * f / (1.0 - f * f)])
+    z0 = boundary_point(f, s.phi)
+    qa = float(d * E @ d)
+    qb = float(z0 * E @ d)
+    t1 = -2.0 * qb / qa
+    if not (t1 > 0.0 and math.isfinite(t1)):
+        raise NoIntersection(f"chord from phi={s.phi!r} found no second boundary point")
+    z1 = z0 + t1 * d
+    phi_raw = math.atan2(z1[1] * f / math.sqrt(1.0 - f * f), z1[0] * f)
+    dphi = (phi_raw - s.phi) % (2.0 * math.pi)
+    phi1 = s.phi + dphi
+    r1 = float(d @ boundary_velocity(f, phi1))
+    return PhasePoint(phi1, r1)
+
+
+def confocal_cover(theta: float, e, f=None) -> np.ndarray:
+    """Covering map of E(f): theta -> (-sn(4K theta), sqrt(1-f^2) cn(4K theta))/f.
+
+    Period 1 in theta; the billiard with caustic E(e) becomes the rigid
+    shift theta -> theta + rho in this chart.
+    """
+    p = as_ecc_pair(e, f)
+    fv = p.f.e
+    jv = jacobi(4.0 * ellint_K(p.e) * float(theta), p.e)
+    return np.array([-jv.sn, math.sqrt(1.0 - fv * fv) * jv.cn]) / fv
+
+
+def cover_angle(theta: float, e, f=None) -> float:
+    """Boundary angle of the cover point: phi = am(4K theta) + pi/2."""
+    p = as_ecc_pair(e, f)
+    return jacobi(4.0 * ellint_K(p.e) * float(theta), p.e).am + 0.5 * math.pi
+
+
+# -- the square-root series of the pencil cubic ---------------------------------
+
+
+class BadSignature(PonceletError):
+    """Characteristic-polynomial constant term not positive; sqrt series undefined."""
+
+    code = "bad_signature"
+
+
+@dataclass(frozen=True)
+class SqrtSeries:
+    """Taylor coefficients alpha_0..alpha_m of sqrt(det(l*C1 - C2)) at l=0."""
+
+    alpha: tuple
+
+
+def sqrt_series(P, order: int) -> SqrtSeries:
+    """Formal square root of the pencil cubic of P.C1 and P.C2, seeded at
+    sqrt(det(-C2)): alpha_n = (c_n - sum alpha_i alpha_{n-i}) / (2 alpha_0)
+    over 0 < i < n, with c_n the coefficient of l^n."""
+    order = int(order)
+    if order < 2:
+        raise InvalidParameter(f"need order >= 2, got {order!r}")
+    c = list(pencil_cubic(P.C1.matrix, P.C2.matrix)[::-1]) + [0.0] * order
+    if c[0] <= 0.0:
+        raise BadSignature(f"constant term det(-C2) = {c[0]!r} is not positive")
+    alpha = [math.sqrt(c[0])]
+    for n in range(1, order + 1):
+        alpha.append((c[n] - math.fsum(alpha[i] * alpha[n - i] for i in range(1, n)))
+                     / (2.0 * alpha[0]))
+    return SqrtSeries(alpha=tuple(alpha))

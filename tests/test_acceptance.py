@@ -19,9 +19,7 @@ import pytest
 
 from poncelet import (
     SymmetricConic,
-    billiard_map,
     build_pencil,
-    caustic_state,
     cayley_condition,
     covering,
     ellint_K,
@@ -36,8 +34,7 @@ from poncelet import (
     standard_map,
     unit_circle,
 )
-from oracles import geometric_step, pencil_cubic
-from poncelet.billiard import boundary_point
+from oracles import billiard_map, boundary_point, caustic_state, geometric_step, pencil_cubic
 from poncelet.maps import from_chart, to_chart
 from poncelet.verify import SUITES, confocal_pair, cubic_field_rhos, fig3_pencil, run_suite
 

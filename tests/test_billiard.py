@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import winding_rotation
-from poncelet.billiard import (
-    EccPair,
+from oracles import (
+    NotInUPlus,
+    OutOfAnnulus,
     PhasePoint,
     billiard_map,
     boundary_point,
@@ -18,20 +18,18 @@ from poncelet.billiard import (
     caustic_state,
     confocal_cover,
     cover_angle,
+    invariant_H,
+    winding_rotation,
+)
+from poncelet.billiard import (
+    EccPair,
     gauss_transform,
     half_rotation,
-    invariant_H,
     porism_f,
     rotation_confocal,
     rotation_estimate,
 )
-from poncelet.errors import (
-    InvalidParameter,
-    InvalidRotation,
-    NotInDelta,
-    NotInUPlus,
-    OutOfAnnulus,
-)
+from poncelet.errors import InvalidParameter, InvalidRotation, NotInDelta
 
 F_SQ = math.sqrt(0.4)
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import pencil_cubic, random_spd_congruence
+from oracles import BadSignature, pencil_cubic, random_spd_congruence, sqrt_series
 from poncelet.billiard import gauss_transform, porism_f
 from poncelet.cayley import (
     _unit_series,
@@ -18,11 +18,9 @@ from poncelet.cayley import (
     confocal_poristic_residual,
     lambda_porism,
     porism_report,
-    sqrt_series,
 )
 from poncelet.conics import SymmetricConic, unit_circle, validate_ellipse
 from poncelet.errors import (
-    BadSignature,
     DegenerateSpectrum,
     InvalidParameter,
     InvalidPeriod,

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, JSON/CSV/SVG output."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poncelet.cli import main
 from poncelet.conics import SymmetricConic, unit_circle
@@ -306,3 +310,144 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("option", ["--out", "--svg"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_path_is_one_json_line(capsys, tmp_path, option, target):
+    path = tmp_path / "missing" / "o.txt" if target == "missing-directory" else tmp_path
+    rc, out, err = run_cli(capsys, "invert", "--lambda", LAM, "--ell", "1/3", option, str(path))
+    assert rc == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "invalid_parameter"
+    assert error["message"].startswith("cannot write output file")
+
+
+def test_negative_nu_usage_error_says_to_use_equals(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rotation", "--lambda", LAM, "--nu", "-0.1,1"])
+    assert exc.value.code == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "expected one argument" in message and "--nu=-0.1,1" in message
+    rep = run_json(capsys, "rotation", "--lambda", LAM, "--nu=-0.1,1")
+    assert rep["nu"][0] < 0.0
+
+
+def _imports_numpy(stderr):
+    """Whether a `python -X importtime` run imported numpy."""
+    return any(line.startswith("import time:") and line.split("|")[-1].strip() == "numpy"
+               for line in stderr.splitlines())
+
+
+def test_scalar_commands_never_import_numpy(capsys, tmp_path):
+    # axis-aligned pencils, the confocal closed form and the float kernel
+    # need no array: each process finishes without numpy and prints what
+    # main prints in this process
+    lam_file = tmp_path / "lambda.json"
+    lam_file.write_text(json.dumps({"lambda": [0.2, 0.125, 0.111111]}))
+    commands = [
+        ["rotation", "--lambda", LAM],
+        ["rotation", "--confocal", "0.8,0.572851"],
+        ["rotation", "--lambda", LAM, "--steps", "2000"],
+        ["rotation", "--confocal", "0.8,0.572851", "--steps", "2000"],
+        ["invert", "--lambda", LAM, "--ell", "2/7", "--svg", "SVG"],
+        ["polygon", "--lambda", LAM, "--ell", "2/7"],
+        ["rotation", "--pencil", str(lam_file)],
+    ]
+    for argv in commands:
+        child = [str(tmp_path / "child.svg") if a == "SVG" else a for a in argv]
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "poncelet.cli", *child],
+                              env=CHILD_ENV, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert not _imports_numpy(proc.stderr), argv
+        local = [str(tmp_path / "local.svg") if a == "SVG" else a for a in argv]
+        rc, out, _ = run_cli(capsys, *local)
+        assert rc == 0 and out == proc.stdout, argv
+        if "SVG" in argv:
+            assert (tmp_path / "local.svg").read_text() == (tmp_path / "child.svg").read_text()
+    # a pencil of general conics takes the eigendecomposition, and numpy
+    frag = {"c11": 1.0, "c12": 0.0, "c13": 0.0, "c22": 1.0, "c23": 0.0, "c33": -1.0}
+    inner = {**frag, "c11": 4.0, "c12": 1.0, "c22": 5.0}
+    lam_file.write_text(json.dumps({"C1": frag, "C2": inner}))
+    argv = ["rotation", "--pencil", str(lam_file)]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "poncelet.cli", *argv],
+                          env=CHILD_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0 and _imports_numpy(proc.stderr)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"JSON holds {name}")
+
+
+def _check_contract(argv):
+    """Run main in this process: JSON on stdout with exit 0, or one JSON
+    error line on stderr with exit 2; any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    if rc == 0:
+        assert err.getvalue() == ""
+        if "--out" in argv:
+            assert out.getvalue() == ""
+        else:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        return
+    assert rc == 2 and out.getvalue() == "", (rc, out.getvalue())
+    (line,) = err.getvalue().splitlines()
+    assert set(json.loads(line, parse_constant=_reject_constant)) == {"error", "message"}
+
+
+_EDGE = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-9, 0.111111, 0.125, 0.2,
+         0.5, 1.0, 1e300, 1.7976931348623157e308, -1.0, math.inf, math.nan]
+_number = st.one_of(st.sampled_from(_EDGE), st.floats(-2.0, 2.0), st.floats())
+
+
+def _csv(n):
+    return st.lists(_number, min_size=n, max_size=n).map(lambda v: ",".join(map(repr, v)))
+
+
+_rho = st.one_of(
+    st.fractions(-1, 2, max_denominator=40).map(str),
+    _number.map(repr),
+    st.sampled_from(["1/0", "1e400/1", "1" + "0" * 400 + "/3", "0.5", "abc", ""]),
+)
+_steps = st.one_of(st.integers(-3, 3000).map(str), st.sampled_from(["1e20", "abc", "0"]))
+_path = st.sampled_from(["file", "missing-directory", "directory"])
+
+
+@st.composite
+def _argv(draw):
+    lam = ["--lambda", draw(_csv(3))]
+    command = draw(st.sampled_from(["rotation", "rotation-confocal", "invert", "polygon"]))
+    if command == "rotation":
+        argv = ["rotation", *lam, f"--nu={draw(_csv(2))}"]
+    elif command == "rotation-confocal":
+        argv = ["rotation", "--confocal", draw(_csv(2))]
+    else:
+        argv = [command, *lam, "--ell", draw(_rho)]
+    if draw(st.booleans()):
+        argv += ["--steps", draw(_steps)]
+    if command in ("invert", "polygon") and draw(st.booleans()):
+        argv += ["--svg", draw(_path)]
+    if draw(st.booleans()):
+        argv += ["--out", draw(_path)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+@example(argv=["rotation", "--lambda", LAM, "--out", "missing-directory"])
+@example(argv=["polygon", "--lambda", LAM, "--ell", "1/3", "--svg", "directory"])
+@example(argv=["invert", "--lambda", LAM, "--ell", "1" + "0" * 400 + "/3"])
+@example(argv=["rotation", "--confocal", "2.2250738585072014e-308,5e-324"])
+def test_main_keeps_the_contract(tmp_path_factory, argv):
+    base = tmp_path_factory.getbasetemp() / "contract"
+    base.mkdir(exist_ok=True)
+    paths = {"file": str(base / "out.txt"), "missing-directory": str(base / "missing" / "o.txt"),
+             "directory": str(base)}
+    _check_contract([paths.get(a, a) for a in argv])
+

@@ -15,10 +15,12 @@ from oracles import (
 from poncelet.conics import (
     SymmetricConic,
     confocal_ellipse,
+    determinant,
     unit_circle,
     validate_ellipse,
 )
-from poncelet.errors import NotAnEllipse
+from poncelet.errors import NotAnEllipse, PonceletError
+from poncelet.pencil import as_param, build_pencil, member
 
 SQRT3_2 = 0.8660254037844386
 
@@ -138,3 +140,49 @@ def test_single_intersection_of_tangent():
 def test_fragment_round_trip():
     C = confocal_ellipse(0.8)
     assert SymmetricConic.from_fragment(C.to_fragment()) == C
+
+
+def test_cofactor_determinant_agrees_in_sign_with_lapack():
+    # validate_ellipse takes det by cofactors on the six floats; away from
+    # |det| at rounding level its sign is np.linalg.det's
+    rng = np.random.default_rng(41)
+    checked = {True: 0, False: 0}
+    while min(checked.values()) < 300:
+        A = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
+        C = SymmetricConic.from_matrix(A + A.T)
+        if not (C.c11 > 0.0 and C.c11 * C.c22 - C.c12 * C.c12 > 0.0):
+            continue
+        det = np.linalg.det(C.matrix)
+        if abs(det) < 1e-12 * np.linalg.norm(C.matrix) ** 3:
+            continue
+        assert determinant(C) == pytest.approx(det, rel=1e-9)
+        try:
+            validate_ellipse(C)
+            accepted = True
+        except NotAnEllipse as ex:
+            assert ex.reason == "det_nonnegative"
+            accepted = False
+        assert accepted == (det < 0.0)
+        checked[accepted] += 1
+
+
+def test_member_is_the_matrix_sum_to_the_bit():
+    # member forms nu1 C1 + nu2 C2 entry by entry, as from_matrix of the sum
+    rng = np.random.default_rng(43)
+    pencils = [build_pencil(unit_circle(), SymmetricConic(0.2, 0.0, 0.0, 0.125, 0.0, -1.0 / 9.0))]
+    while len(pencils) < 20:
+        S = rng.normal(size=(3, 3))
+        lam = np.sort(rng.uniform(0.1, 3.0, size=3))[::-1]
+        try:
+            pencils.append(build_pencil(
+                SymmetricConic.from_matrix(S.T @ np.diag([1.0, 1.0, -1.0]) @ S),
+                SymmetricConic.from_matrix(S.T @ np.diag([lam[0], lam[1], -lam[2]]) @ S)))
+        except PonceletError:
+            continue
+    for P in pencils:
+        for _ in range(10):
+            nu = (rng.uniform(-0.9, 3.0) * P.lam[2], 1.0)
+            can = as_param(nu).canonical()
+            want = SymmetricConic.from_matrix(can.nu1 * P.C1.matrix + can.nu2 * P.C2.matrix)
+            got = member(P, nu)
+            assert [float(v).hex() for v in got.entries] == [float(v).hex() for v in want.entries]

@@ -1,5 +1,6 @@
 """Pencil diagonalization, parameter cone, duality, standard pencil."""
 
+import collections
 import dataclasses
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply_homography, ellipse_matrix, nesting_margin, pencil_cubic, spectral_gap
+from poncelet import pencil
 from poncelet.conics import (
     SymmetricConic,
     confocal_ellipse,
@@ -22,8 +24,10 @@ from poncelet.errors import (
     LimitingPoint,
     NotAnEllipse,
     NotNested,
+    PonceletError,
 )
 from poncelet.pencil import (
+    TOL_DEGENERATE,
     PencilParam,
     build_pencil,
     confocal_to_standard,
@@ -458,3 +462,90 @@ def test_pencil_cubic_matches_expansion():
     assert c[3] == pytest.approx(np.linalg.det(-DIAG_INNER.matrix), abs=1e-15)
     roots = np.sort(np.roots(c))[::-1]
     assert roots == pytest.approx((0.2, 0.125, 1.0 / 9.0), abs=1e-12)
+
+
+def _eig_route(C1, C2):
+    """build_pencil's general branch, taken on any pair, with the modulus
+    check that build_pencil makes last."""
+    validate_ellipse(C1)
+    validate_ellipse(C2)
+    lam, V = pencil._eig_spectrum(C1, C2)
+    M, Minv = pencil._eig_chart(C1, C2, lam, V)
+    return lam, M, Minv, pencil_eccentricity(lam)
+
+
+def _no_eig(*args):
+    raise AssertionError("an axis-aligned pair reached the eigendecomposition")
+
+
+def _diagonal(d):
+    return SymmetricConic(d[0], 0.0, 0.0, d[1], 0.0, d[2])
+
+
+def axis_aligned_pairs(rng):
+    """(C1, C2) diagonal pairs: unit C1 with the top two of the spectrum in
+    either axis order, confocal pairs both ways round (swapped axes),
+    non-unit C1, a gap within 0.1% of TOL_DEGENERATE on either side of it,
+    and random diagonals, most of them not nested."""
+    pairs = []
+    for _ in range(100):
+        lam = np.sort(rng.uniform(0.01, 3.0, size=3))[::-1]
+        lam[:2] = rng.permutation(lam[:2])
+        pairs.append((_diagonal((1.0, 1.0, -1.0)), _diagonal((lam[0], lam[1], -lam[2]))))
+        e = rng.uniform(0.05, 0.95)
+        f = e * rng.uniform(0.05, 0.95)
+        pairs.append((confocal_ellipse(f), confocal_ellipse(e)))
+        pairs.append((confocal_ellipse(e), confocal_ellipse(f)))
+        a = rng.uniform(0.1, 5.0, size=3) * (1.0, 1.0, -1.0)
+        w = np.sort(rng.uniform(0.05, 2.0, size=3))[::-1]
+        pairs.append((_diagonal(a), _diagonal(rng.permutation(w) * a)))
+        top, mid = rng.uniform(1.0, 2.0), rng.uniform(0.5, 0.9)
+        gap = TOL_DEGENERATE * top * (1.0 + rng.choice((-1e-3, 1e-3)))
+        w = (top, top - gap, 0.3) if rng.uniform() < 0.5 else (top, mid, mid - gap)
+        pairs.append((_diagonal(a), _diagonal(rng.permutation(w) * a)))
+        b = rng.uniform(0.1, 5.0, size=3) * (1.0, 1.0, -1.0)
+        pairs.append((_diagonal(a), _diagonal(b)))
+    return pairs
+
+
+def test_axis_aligned_branch_matches_the_eigendecomposition(monkeypatch):
+    pairs = axis_aligned_pairs(np.random.default_rng(71))
+    expected = []
+    for C1, C2 in pairs:
+        try:
+            expected.append(_eig_route(C1, C2))
+        except PonceletError as ex:
+            expected.append(type(ex))
+    monkeypatch.setattr(pencil, "_eig_spectrum", _no_eig)
+    monkeypatch.setattr(pencil, "_eig_chart", _no_eig)
+    outcomes = collections.Counter()
+    for (C1, C2), want in zip(pairs, expected):
+        try:
+            P = build_pencil(C1, C2)
+        except PonceletError as ex:
+            assert type(ex) is want, (C1, C2)
+            outcomes[want.__name__] += 1
+            continue
+        assert not isinstance(want, type), (C1, C2, want)
+        lam, M, Minv, _ = want
+        unit = C1 == _diagonal((1.0, 1.0, -1.0))
+        for got, ref in ((P.lam, lam), (P.M_entries, M), (P.Minv_entries, Minv)):
+            if unit:
+                assert got == ref
+            else:
+                assert all(abs(g - r) <= 1e-15 * abs(r) for g, r in zip(got, ref)), (got, ref)
+        assert np.array_equal(P.M, np.reshape(M, (3, 3)))
+        assert np.array_equal(P.Minv, np.reshape(Minv, (3, 3)))
+        outcomes["built, unit C1" if unit else "built"] += 1
+    assert outcomes["built, unit C1"] >= 90 and outcomes["built"] >= 100, outcomes
+    assert outcomes["NotNested"] >= 100 and outcomes["DegenerateSpectrum"] >= 20, outcomes
+
+
+def test_pencil_matrices_are_read_only_arrays_of_the_entries():
+    for P in (diag_pencil(), build_pencil(*random_nested_pair(np.random.default_rng(3))[:2])):
+        for A, entries in ((P.M, P.M_entries), (P.Minv, P.Minv_entries)):
+            assert isinstance(A, np.ndarray) and A.shape == (3, 3) and A.dtype == float
+            assert not A.flags.writeable
+            assert tuple(A.ravel().tolist()) == entries
+        assert P.M is P.M and P.Minv is P.Minv
+        assert np.allclose(P.M @ P.Minv, np.eye(3), atol=1e-12)
