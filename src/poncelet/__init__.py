@@ -23,7 +23,7 @@ from .cayley import (
     porism_report,
 )
 from .conics import SymmetricConic, confocal_ellipse, unit_circle, validate_ellipse
-from .elliptic import Modulus, ellint_F, ellint_K, jacobi, jacobi_epsilon
+from .elliptic import Modulus, ellint_F, ellint_K, jacobi
 from .errors import PonceletError
 from .maps import (
     PolygonOrbit,
@@ -77,7 +77,6 @@ __all__ = [
     "half_rotation",
     "invert_rho",
     "jacobi",
-    "jacobi_epsilon",
     "lambda_porism",
     "member",
     "nesting_order",

@@ -10,6 +10,8 @@ from .errors import DegenerateSpectrum, InvalidPeriod, NotNested, UnknownSet
 from .maps import rho_from_spectrum, rho_of_nu
 from .pencil import Pencil
 
+_TOL_PORISM = 1e-8  # |cayley_condition| below which porism_report certifies
+
 
 def _unit_series(lam, order: int) -> list:
     """Taylor coefficients a_0..a_order of sqrt((1 - r1 t)(1 - r2 t)(1 - t)),
@@ -72,13 +74,13 @@ def cayley_condition(P: Pencil, N: int) -> float:
     return det / ref
 
 
-def porism_report(P: Pencil, N: int, tol: float = 1e-8) -> dict:
+def porism_report(P: Pencil, N: int) -> dict:
     """Classification record for the pair (C1, C2) at period N."""
     residual = cayley_condition(P, N)
     return {
         "N": N,
         "residual": residual,
-        "classified_poristic": bool(abs(residual) < tol),
+        "classified_poristic": bool(abs(residual) < _TOL_PORISM),
         "rho": rho_of_nu(P, (0.0, 1.0)),
     }
 

@@ -15,14 +15,12 @@ import math
 import sys
 from fractions import Fraction
 
-from .billiard import porism_f, rotation_confocal, rotation_estimate
-from .conics import SymmetricConic, confocal_ellipse, unit_circle
+from .billiard import as_ecc_pair, porism_f, rotation_confocal, rotation_estimate
+from .conics import _KEYS, SymmetricConic, confocal_ellipse, unit_circle
 from .errors import InvalidParameter, NonFiniteResult, PonceletError
 from .maps import _covering_chart, _from_chart, estimate_rotation, invert_rho, polygon, rho_of_nu
 from .pencil import as_param, build_pencil, f_of_nu
 from .svg import svg_figure
-
-_CONIC_KEYS = ("c11", "c12", "c13", "c22", "c23", "c33")
 
 
 def _require_finite(values, what):
@@ -68,9 +66,9 @@ def _parse_ell(text):
 
 
 def _conic_from_fragment(frag, what):
-    if not isinstance(frag, dict) or set(frag) != set(_CONIC_KEYS):
-        raise InvalidParameter(f"{what} must be an object with keys {_CONIC_KEYS}")
-    return SymmetricConic(*_json_floats([frag[k] for k in _CONIC_KEYS], what))
+    if not isinstance(frag, dict) or set(frag) != set(_KEYS):
+        raise InvalidParameter(f"{what} must be an object with keys {_KEYS}")
+    return SymmetricConic(*_json_floats([frag[k] for k in _KEYS], what))
 
 
 def _diag_pencil(lam):
@@ -86,8 +84,8 @@ def _pencil_from_args(args):
     if args.lam:
         return _diag_pencil(_parse_floats(args.lam, 3, "--lambda"))
     if getattr(args, "confocal", None):
-        e, f = _parse_floats(args.confocal, 2, "--confocal")
-        return build_pencil(confocal_ellipse(f), confocal_ellipse(e))
+        p = as_ecc_pair(*_parse_floats(args.confocal, 2, "--confocal"))
+        return build_pencil(confocal_ellipse(p.f.e), confocal_ellipse(p.e.e))
     try:
         with open(args.pencil) as fh:
             data = json.load(fh)

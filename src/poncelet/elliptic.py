@@ -3,7 +3,7 @@
 Self-contained double-precision kernel, no special-function dependency:
 
 * complete integral K by the arithmetic-geometric mean,
-* incomplete integrals F and E by Carlson symmetric forms (duplication),
+* the incomplete integral F by Carlson's symmetric R_F (duplication),
 * sn/cn/dn by the descending Landen transformation, recursing on the
   modulus until it drops below 1e-14 and seeding with circular functions.
 
@@ -22,8 +22,7 @@ from functools import lru_cache
 
 from .errors import ModulusOutOfRange
 
-__all__ = ["Modulus", "JacobiValues", "as_modulus",
-           "ellint_F", "ellint_K", "jacobi", "jacobi_epsilon"]
+__all__ = ["Modulus", "JacobiValues", "as_modulus", "ellint_F", "ellint_K", "jacobi"]
 
 # evaluation domain for the modulus; the complement sqrt(1-e^2) keeps ~4.5e-5
 # of headroom at the top end, enough for every Landen/AGM step to converge
@@ -63,7 +62,7 @@ class JacobiValues:
     cd: float
 
 
-# -- Carlson symmetric integrals ------------------------------------------
+# -- Carlson symmetric integral R_F ---------------------------------------
 #
 # Duplication until the arguments nearly coincide, then the fifth-order
 # Taylor tail. Double precision saturates after ~10 rounds; the caps are
@@ -88,32 +87,6 @@ def _rf(x: float, y: float, z: float) -> float:
     E3 = X * Y * Z
     s = 1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0
     return s / math.sqrt(A)
-
-
-def _rd(x: float, y: float, z: float) -> float:
-    A = (x + y + 3.0 * z) / 5.0
-    Q = 1.4e5 * max(abs(A - x), abs(A - y), abs(A - z))
-    acc = 0.0
-    f = 1.0
-    for _ in range(60):
-        if Q * f < abs(A):
-            break
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        acc += f / (sz * (z + lam))
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        A = 0.25 * (A + lam)
-        f *= 0.25
-    X = (1.0 - x / A)
-    Y = (1.0 - y / A)
-    Z = -(X + Y) / 3.0
-    E2 = X * Y - 6.0 * Z * Z
-    E3 = (3.0 * X * Y - 8.0 * Z * Z) * Z
-    E4 = 3.0 * (X * Y - Z * Z) * Z * Z
-    E5 = X * Y * Z * Z * Z
-    s = (1.0 - 3.0 * E2 / 14.0 + E3 / 6.0 + 9.0 * E2 * E2 / 88.0
-         - 3.0 * E4 / 22.0 - 9.0 * E2 * E3 / 52.0 + 3.0 * E5 / 26.0)
-    return 3.0 * acc + f * s / (A * math.sqrt(A))
 
 
 # -- complete and incomplete integrals ------------------------------------
@@ -162,26 +135,6 @@ def ellint_F(phi, e) -> float:
     return out
 
 
-def _E_principal(psi: float, m: Modulus) -> float:
-    if psi == 0.0:
-        return 0.0
-    s, c = math.sin(psi), math.cos(psi)
-    sa = abs(s)
-    y = (1.0 - m.e * s) * (1.0 + m.e * s)
-    val = sa * _rf(c * c, y, 1.0) - (m.e * m.e) * sa ** 3 * _rd(c * c, y, 1.0) / 3.0
-    return math.copysign(val, psi)
-
-
-def _ellint_E(phi: float, m: Modulus) -> float:
-    # second kind with the extension E(phi + pi) = E(phi) + 2E(pi/2)
-    n = round(phi / math.pi)
-    psi = phi - n * math.pi
-    out = _E_principal(psi, m)
-    if n != 0:
-        out += 2.0 * n * _E_principal(math.pi / 2.0, m)
-    return out
-
-
 # -- Jacobi functions ------------------------------------------------------
 
 def _landen_moduli(m: Modulus):
@@ -226,15 +179,3 @@ def jacobi(u, e) -> JacobiValues:
 
     am = math.atan2(sn, cn) + 2.0 * math.pi * nper
     return JacobiValues(u=u, sn=sn, cn=cn, dn=dn, am=am, cd=cn / dn)
-
-
-def jacobi_epsilon(u, e) -> float:
-    """Jacobi epsilon, the integral of dn^2 from 0 to u.
-
-    Computed as the incomplete second-kind integral at the amplitude,
-    E(am(u, e), e), which agrees with the defining integral and grows by
-    4E(pi/2, e) per full period.
-    """
-    m = as_modulus(e)
-    jv = jacobi(u, m)
-    return _ellint_E(jv.am, m)

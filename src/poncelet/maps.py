@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .elliptic import Modulus, ellint_F, ellint_K, jacobi
 from .errors import (
     DegenerateSpectrum,
-    HomographySingularity,
     InvalidParameter,
     InvalidRotation,
     OffCircle,
@@ -23,6 +22,7 @@ from .pencil import (
     Pencil,
     PencilParam,
     _f_of_canonical,
+    _homography,
     _param_kind,
     as_param,
 )
@@ -52,17 +52,6 @@ class PolygonOrbit:
             "closure_residual": self.closure_residual,
             "rho": self.rho,
         }
-
-
-def _homography(h, norm: float, x: float, y: float):
-    """Fractional-linear action of a 3x3 matrix on the affine point (x, y):
-    h holds the nine entries of the matrix by rows and norm its Frobenius
-    norm. The denominator must not fall below 1e-13 * norm * |(x, y, 1)|."""
-    h11, h12, h13, h21, h22, h23, h31, h32, h33 = h
-    w = h31 * x + h32 * y + h33
-    if abs(w) < 1e-13 * norm * math.sqrt(x * x + y * y + 1.0):
-        raise HomographySingularity(f"homography denominator vanished at {(x, y)!r}")
-    return (h11 * x + h12 * y + h13) / w, (h21 * x + h22 * y + h23) / w
 
 
 def _to_chart(P: Pencil, x: float, y: float):

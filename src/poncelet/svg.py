@@ -7,22 +7,22 @@ identical inputs give byte-identical documents.
 """
 
 import math
-from functools import lru_cache
+from functools import cache
 
-from .maps import _homography
-from .pencil import Pencil, as_param, _param_kind
+from .pencil import Pencil, as_param, _homography, _param_kind
 
 _FMT = "%.8g"
+_SEGMENTS = 256
 
 
-@lru_cache(maxsize=4)
-def _unit_samples(segments: int) -> tuple:
-    """(cos t, sin t) at the angles t of np.linspace(0, 2 pi, segments + 1)[:-1]."""
-    step = 2.0 * math.pi / segments
-    return tuple((math.cos(k * step), math.sin(k * step)) for k in range(segments))
+@cache
+def _unit_samples() -> tuple:
+    """(cos t, sin t) at the angles t of np.linspace(0, 2 pi, _SEGMENTS + 1)[:-1]."""
+    step = 2.0 * math.pi / _SEGMENTS
+    return tuple((math.cos(k * step), math.sin(k * step)) for k in range(_SEGMENTS))
 
 
-def _member_points(P: Pencil, nu, segments: int) -> list:
+def _member_points(P: Pencil, nu) -> list:
     """The points of member_polyline as (x, y) floats.
 
     In the diagonalizing chart the member is the origin-centered ellipse
@@ -37,17 +37,17 @@ def _member_points(P: Pencil, nu, segments: int) -> list:
     a = math.sqrt(g / (nu.nu1 + l1 * nu.nu2))
     b = math.sqrt(g / (nu.nu1 + l2 * nu.nu2))
     h, norm = P.M_entries, P.M_norm
-    pts = [_homography(h, norm, a * c, b * s) for c, s in _unit_samples(segments)]
+    pts = [_homography(h, norm, a * c, b * s) for c, s in _unit_samples()]
     pts.append(pts[0])
     return pts
 
 
-def member_polyline(P: Pencil, nu, segments: int = 256):
-    """Closed polyline on the member conic, as a (segments + 1, 2) array of
-    plane coordinates whose last row repeats the first."""
+def member_polyline(P: Pencil, nu):
+    """Closed polyline on the member conic, as a (257, 2) array of plane
+    coordinates whose last row repeats the first."""
     import numpy as np
 
-    return np.array(_member_points(P, nu, segments))
+    return np.array(_member_points(P, nu))
 
 
 def _points_attr(pts) -> str:
@@ -55,13 +55,13 @@ def _points_attr(pts) -> str:
     return " ".join(pair % (x, -y) for x, y in pts)
 
 
-def svg_figure(P: Pencil, members=((0.0, 1.0),), orbit=None, segments: int = 256) -> str:
+def svg_figure(P: Pencil, members=((0.0, 1.0),), orbit=None) -> str:
     """SVG document: the outer conic, the listed members, the orbit polygon.
 
     ``orbit`` is a sequence of plane points (a PolygonOrbit's points work
     as-is). The viewBox fits everything drawn with a 5% margin.
     """
-    drawn = [_member_points(P, nu, segments) for nu in ((1.0, 0.0), *members)]
+    drawn = [_member_points(P, nu) for nu in ((1.0, 0.0), *members)]
     colors = ["#000000"] + ["#777777"] * (len(drawn) - 1) + ["#1f77b4"]
     if orbit is not None and len(orbit) > 0:
         drawn.append([(float(x), float(y)) for x, y in orbit])

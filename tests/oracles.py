@@ -11,11 +11,12 @@ time. Homographies act by one numpy product on (x, y, 1); that oracle
 raises the package's HomographySingularity, so a test can expect the same
 error from both. The confocal billiard reflects chords off the boundary
 E(f); its cover map alone takes K and the Jacobi functions from the
-package, which the elliptic tests check against quadrature. The square-root
-series of the pencil cubic comes from that cubic's coefficients. Conics are
-plain symmetric 3x3 matrices of u^T C u with u = (x, y, 1). Test modules
-import from here; the library must agree with these within the tolerances
-stated in the tests.
+package, which the elliptic tests check against quadrature. Jacobi epsilon
+is mpmath's second-kind integral at the package's amplitude am(u, e). The
+square-root series of the pencil cubic comes from that cubic's
+coefficients. Conics are plain symmetric 3x3 matrices of u^T C u with
+u = (x, y, 1). Test modules import from here; the library must agree with
+these within the tolerances stated in the tests.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
@@ -84,6 +86,12 @@ def jacobi_epsilon_quad(u, e, sn_cn_dn=None):
     val, err = quad(dn2, 0.0, u, epsabs=1e-12, epsrel=1e-11, limit=200)
     assert err < 1e-8
     return val
+
+
+def jacobi_epsilon(u, e):
+    """Jacobi epsilon, the integral of dn^2 from 0 to u: mpmath's incomplete
+    second-kind integral E(am(u, e) | e^2) at the package's amplitude."""
+    return float(mpmath.ellipe(jacobi(u, e).am, e * e))
 
 
 def circle_tangents(center, radius, z):

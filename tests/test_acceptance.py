@@ -21,6 +21,7 @@ from poncelet import (
     SymmetricConic,
     build_pencil,
     cayley_condition,
+    confocal_ellipse,
     covering,
     ellint_K,
     f_of_nu,
@@ -36,7 +37,7 @@ from poncelet import (
 )
 from oracles import billiard_map, boundary_point, caustic_state, geometric_step, pencil_cubic
 from poncelet.maps import from_chart, to_chart
-from poncelet.verify import SUITES, confocal_pair, cubic_field_rhos, fig3_pencil, run_suite
+from poncelet.verify import SUITES, cubic_field_rhos, fig3_pencil, run_suite
 
 
 def assert_suite(name):
@@ -47,6 +48,11 @@ def assert_suite(name):
         assert c["pass"], (
             f"{c['name']}: residual {c['residual']!r} against {c['bound']} tol {c['tol']!r}"
         )
+
+
+def confocal_pair(e, f):
+    """The confocal pencil with boundary E(f) and caustic E(e), f < e."""
+    return build_pencil(confocal_ellipse(f), confocal_ellipse(e))
 
 
 def spectrum_pencil(lam):

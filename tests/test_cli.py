@@ -17,8 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poncelet.cli import main
-from poncelet.conics import SymmetricConic, unit_circle
+from poncelet.conics import SymmetricConic, confocal_ellipse, unit_circle
+from poncelet.maps import covering, polygon
 from poncelet.pencil import build_pencil
+from poncelet.svg import svg_figure
 
 LAM = "0.2,0.125,0.111111"
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -149,6 +151,29 @@ def test_polygon_emits_plain_orbit_json(capsys):
     orbit = run_json(capsys, "polygon", "--lambda", LAM, "--ell", "2/7")
     _assert_orbit_shape(orbit)
     assert orbit["steps"] == 7 and orbit["winding"] == 2
+
+
+def test_confocal_pencil_for_polygon_and_render(capsys, tmp_path):
+    # --confocal e,f is the pencil of the boundary E(f) and the caustic E(e)
+    P = build_pencil(confocal_ellipse(0.572851), confocal_ellipse(0.8))
+    orbit = polygon(P, (0.0, 1.0), covering(P, 0.0), max_steps=7)
+    assert run_json(capsys, "polygon", "--confocal", "0.8,0.572851", "--steps", "7") == (
+        orbit.to_json_dict())
+    svg = tmp_path / "confocal.svg"
+    rep = run_json(capsys, "render", "--confocal", "0.8,0.572851", "--steps", "7",
+                   "--svg", str(svg))
+    assert rep == {"command": "render", "svg": str(svg), "steps": 7, "closed": orbit.closed}
+    assert svg.read_text() == svg_figure(P, [(0.0, 1.0)], orbit=orbit.points)
+
+
+@pytest.mark.parametrize("command", ["polygon", "render"])
+@pytest.mark.parametrize("pair", ["0.5,0.8", "0.5,0.5"])
+def test_confocal_pencil_outside_delta(capsys, tmp_path, command, pair):
+    # f >= e is no caustic inside the boundary, as for `rotation --confocal`
+    argv = [command, "--confocal", pair, "--svg", str(tmp_path / "x.svg")]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "not_in_delta"
 
 
 def test_polygon_open_orbit(capsys):
@@ -353,6 +378,7 @@ def test_scalar_commands_never_import_numpy(capsys, tmp_path):
         ["rotation", "--confocal", "0.8,0.572851", "--steps", "2000"],
         ["invert", "--lambda", LAM, "--ell", "2/7", "--svg", "SVG"],
         ["polygon", "--lambda", LAM, "--ell", "2/7"],
+        ["polygon", "--confocal", "0.8,0.572851", "--steps", "7"],
         ["rotation", "--pencil", str(lam_file)],
     ]
     for argv in commands:
@@ -451,3 +477,83 @@ def test_main_keeps_the_contract(tmp_path_factory, argv):
              "directory": str(base)}
     _check_contract([paths.get(a, a) for a in argv])
 
+
+_KEYS = ("c11", "c12", "c13", "c22", "c23", "c33")
+_FRAGMENTS = [dict(zip(_KEYS, v)) for v in ((1.0, 0.0, 0.0, 1.0, 0.0, -1.0),
+                                             (0.2, 0.0, 0.0, 0.125, 0.0, -1.0 / 9.0),
+                                             (4.0, 1.0, 0.0, 5.0, 0.0, -1.0))]
+# JSON values of every kind: numbers (NaN and Infinity are written as the
+# tokens json.load accepts), integers too large for a float, booleans,
+# strings, null, and lists of them
+_json_value = st.recursive(
+    st.one_of(_number, st.integers(-3, 3),
+              st.sampled_from([True, False, None, "0.2", "", 10**400, -(2**1024)])),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+_entry = st.one_of(_number, _json_value)
+_SCALES = [5e-324, 1e-300, 1e-160, 1e155, 1e300, 1.7976931348623157e308]
+
+
+@st.composite
+def _fragment(draw):
+    frag = dict(draw(st.sampled_from(_FRAGMENTS)))
+    for key in draw(st.lists(st.sampled_from(_KEYS), max_size=3)):
+        frag[key] = draw(_entry)
+    if draw(st.booleans()):
+        # extreme and subnormal entries: the whole conic scaled
+        scale = draw(st.sampled_from(_SCALES))
+        frag = {k: v * scale if type(v) is float else v for k, v in frag.items()}
+    if draw(st.integers(0, 9)) == 0:
+        del frag[draw(st.sampled_from(_KEYS))]
+    if draw(st.integers(0, 9)) == 0:
+        frag["c44"] = 1.0
+    return frag if draw(st.integers(0, 19)) else draw(_json_value)
+
+
+@st.composite
+def _pencil_text(draw):
+    kind = draw(st.sampled_from(["lambda", "conics", "both", "one-conic", "other", "raw"]))
+    lam = draw(st.one_of(st.lists(_entry, min_size=3, max_size=3), _json_value))
+    if kind == "lambda":
+        data = {"lambda": lam}
+    elif kind == "conics":
+        data = {"C1": draw(_fragment()), "C2": draw(_fragment())}
+    elif kind == "both":
+        data = {"lambda": lam, "C1": draw(_fragment()), "C2": draw(_fragment())}
+    elif kind == "one-conic":
+        data = {"C1": draw(_fragment())}
+    elif kind == "other":
+        data = draw(_json_value)
+    else:
+        return draw(st.sampled_from(["", "{", '{"lambda": [1, 2', "NaN", "[]", "{}"]))
+    return json.dumps(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["rotation", "polygon", "render"]), text=_pencil_text(),
+       path=st.sampled_from(["file"] * 8 + ["missing", "directory"]),
+       extra=st.sampled_from([(), ("--ell", "1/3"), ("--nu=0.04,1",)]))
+# the examples reach each rejection of the pencil-file reader: a number out
+# of float range, a huge integer, conic keys, an unreadable path, a "lambda"
+# that is no 3-list, NaN; the last is an overflowing pair the fuzz found
+@example(command="rotation", text='{"lambda": [0.2, 0.125, 1e400]}', path="file", extra=())
+@example(command="rotation", text='{"lambda": [0.2, 0.125, ' + "1" * 400 + ']}', path="file",
+         extra=())
+@example(command="polygon", text=json.dumps({"C1": _FRAGMENTS[0], "C2": {"c11": 1.0}}),
+         path="file", extra=())
+@example(command="render", text="{}", path="directory", extra=())
+@example(command="rotation", text='{"lambda": [0.2, 0.125]}', path="file", extra=())
+@example(command="polygon", text='{"lambda": [0.2, 0.125, NaN]}', path="file", extra=())
+@example(command="polygon", path="file", extra=(), text=json.dumps(
+    {"C1": _FRAGMENTS[2], "C2": {k: v * 1.7976931348623157e308 for k, v in _FRAGMENTS[0].items()}}))
+def test_pencil_files_keep_the_contract(tmp_path_factory, command, text, path, extra):
+    base = tmp_path_factory.getbasetemp() / "pencil-contract"
+    base.mkdir(exist_ok=True)
+    pencil = base / "pencil.json"
+    pencil.write_text(text)
+    paths = {"file": str(pencil), "missing": str(base / "missing.json"), "directory": str(base)}
+    argv = [command, "--pencil", paths[path], "--steps", "50", *extra]
+    if command == "render":
+        argv += ["--svg", str(base / "out.svg")]
+    _check_contract(argv)

